@@ -445,9 +445,10 @@ func BenchmarkEngineFanoutBranches(b *testing.B) {
 }
 
 // BenchmarkAdaptiveRetune measures the engine's control-path retune: one
-// receiver report crossing a policy threshold, dispatched over the session's
-// raplet bus to the FEC responder, which splices the adaptive encoder into or
-// out of the live chain. Each op is one full report -> splice round trip
+// receiver report crossing a policy threshold, decided by the session's
+// receiver loop on the shard read loop and applied by the engine's
+// maintenance goroutine, which splices the adaptive encoder into or out of
+// the live chain. Each op is one full report -> splice round trip
 // (reports alternate 10% loss and clean, so every op changes the protection
 // level). This is the control path; its cost bounds how fast the closed loop
 // can react, not how fast packets relay.

@@ -43,13 +43,15 @@
 // against an in-process or remote engine.
 //
 // The engine also hosts a closed-loop adaptation plane: downstream receivers
-// report observed loss upstream as feedback datagrams (packet.Report), each
-// session's raplet bus routes every receiver's loss to its own FEC
-// responder, and the responder splices an adaptive encoder into the live
-// chain, retunes its (n,k), or removes it, following the loss→code policy
-// ladder in the transport-agnostic internal/adapt package — the same policy
-// engine that drives the legacy single-stream adaptive proxy in
-// internal/fecproxy.
+// report observed loss upstream as feedback datagrams (packet.Report), and
+// each receiver has one adaptation loop: the shard read loop that parses a
+// report decides the receiver's repair from the loss→code policy ladder in
+// the transport-agnostic internal/adapt package (the same policy engine that
+// drives the legacy single-stream adaptive proxy in internal/fecproxy), and
+// the engine's maintenance goroutine applies a changed decision — splicing
+// an adaptive encoder into the trunk, retuning its (n,k) or removing it, or
+// moving a fan-out receiver between delivery cohorts. Adaptation owns no
+// goroutine per session.
 //
 // Composition itself is a dedicated plane, internal/compose: one validated
 // plan IR for every chain in the system, one parser for the spec language,
@@ -63,8 +65,8 @@
 // dropping a relayed packet. The control plane drives it end to end:
 // OpRecompose (rapidctl compose <session> '<spec>'), session-scoped
 // insert/remove/move, and a per-stage counter view in rapidctl sessions.
-// Adaptation responders express their FEC splices through the same plane via
-// a fec-adapt marker stage in the plan.
+// Adaptation loops express their FEC splices through the same plane via a
+// fec-adapt marker stage in the plan.
 //
 // Reliability spans a spectrum, not just FEC. The compose plane registers
 // the ARQ stages (internal/arq) and the replay cache (internal/cache) as
@@ -75,7 +77,7 @@
 // and "replay=<n>" retains the recent past so a station that joins a fan-out
 // session mid-stream has its fresh branch primed with the retained window —
 // the collaborative session's late-join catch-up. With adaptation on, each
-// receiver's responder escalates across mechanisms from the full report
+// receiver's loop escalates across mechanisms from the full report
 // (loss and RTT): clean links run the pure relay, moderate loss splices
 // proactive parity, and rare loss on a high-RTT feedback path swaps the
 // encoder for a retransmission history, all through the same live-recompose
@@ -95,9 +97,7 @@
 // control protocol (rapidctl sessions [-json]).
 //
 // See README.md for a tour (including the engine architecture and UDP wire
-// format), DESIGN.md for the system inventory and experiment index, and
-// EXPERIMENTS.md for paper-vs-measured results. The benchmarks in
-// bench_test.go regenerate every figure of the paper's evaluation plus the
+// format). The benchmarks in bench_test.go regenerate every figure of the paper's evaluation plus the
 // engine's multi-session relay benchmark; cmd/fecbench prints the paper
 // tables from the command line.
 package rapidware

@@ -322,6 +322,9 @@ func TestSoakSyscallAmortization(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer c.Close()
+	// The same receive buffer the engine asks for on its own socket, so the
+	// in-flight window below cannot overflow the client side either.
+	_ = c.SetReadBuffer(4 << 20)
 	bc := netbatch.New(c, netbatch.Options{})
 	dst := e.LocalAddr().(*net.UDPAddr).AddrPort()
 
@@ -336,20 +339,19 @@ func TestSoakSyscallAmortization(t *testing.T) {
 		rbufs[i] = make([]byte, packet.MaxDatagram)
 	}
 
-	const rounds = 100
+	// Keep inFlight bursts outstanding: the next burst is on the wire before
+	// the previous one's echoes are drained, so the load is sustained rather
+	// than lockstep (a lockstep burst leaves the reader racing the sender for
+	// every datagram, which measures the scheduler, not the batching). The
+	// window bounds both loopback queues to inFlight*batchSize datagrams,
+	// far below either socket's receive buffer, so nothing can overflow;
+	// stragglers are tolerated via the deadline.
+	const (
+		rounds   = 100
+		inFlight = 4
+	)
 	received := 0
-	for r := 0; r < rounds; r++ {
-		sent := 0
-		for sent < len(wmsgs) {
-			n, err := bc.WriteBatch(wmsgs[sent:])
-			if err != nil {
-				t.Fatalf("WriteBatch: %v", err)
-			}
-			sent += n
-		}
-		// Drain this burst's echoes before the next burst so the loopback
-		// queue can never overflow; tolerate stragglers via the deadline.
-		want := received + sent
+	drainTo := func(want int) {
 		for received < want {
 			for i := range rmsgs {
 				rmsgs[i].Buf = rbufs[i]
@@ -357,11 +359,22 @@ func TestSoakSyscallAmortization(t *testing.T) {
 			c.SetReadDeadline(time.Now().Add(2 * time.Second))
 			n, err := bc.ReadBatch(rmsgs)
 			if err != nil {
-				t.Fatalf("round %d: ReadBatch after %d echoes: %v", r, received, err)
+				t.Fatalf("ReadBatch after %d of %d echoes: %v", received, want, err)
 			}
 			received += n
 		}
 	}
+	for r := 1; r <= rounds; r++ {
+		for sent := 0; sent < len(wmsgs); {
+			n, err := bc.WriteBatch(wmsgs[sent:])
+			if err != nil {
+				t.Fatalf("WriteBatch: %v", err)
+			}
+			sent += n
+		}
+		drainTo((r - inFlight + 1) * len(wmsgs))
+	}
+	drainTo(rounds * len(wmsgs))
 
 	st := e.Stats()
 	packets := st.Datagrams + st.BatchedWrites

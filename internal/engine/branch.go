@@ -19,7 +19,6 @@ import (
 	"rapidware/internal/filter"
 	"rapidware/internal/metrics"
 	"rapidware/internal/packet"
-	"rapidware/internal/raplet"
 )
 
 // A fan-out session's data plane is a delivery tree: the shared trunk (the
@@ -59,9 +58,8 @@ type member struct {
 	// owes it through a fade — are never double-delivered. nil once the gate
 	// is spent. Guarded by tree.mu; the fence value itself is atomic.
 	gate *startGate
-	// resp/loop are the member's adaptation state; nil without the
-	// per-receiver feedback plane.
-	resp *memberResponder
+	// loop is the member's adaptation loop; nil without the per-receiver
+	// feedback plane.
 	loop *receiverLoop
 }
 
@@ -181,8 +179,8 @@ type cohort struct {
 type deliveryTree struct {
 	s *Session
 	// cs is the chain incarnation this tree belongs to: member priming reads
-	// its live trunk's replay stage and member adaptation loops join its
-	// adaptor's bus. A parked session has no tree; unpark builds a fresh one.
+	// its live trunk's replay stage and member adaptation loops register with
+	// its adaptor. A parked session has no tree; unpark builds a fresh one.
 	cs  *chainState
 	tee *filter.Tee
 
@@ -236,9 +234,7 @@ func (e *Engine) allMarkers(plan compose.Plan) bool {
 // ready-to-send datagram for the bypass lane. dispatch consumes the caller's
 // buffer reference. Called from the trunk sink's goroutine only.
 func (t *deliveryTree) dispatch(b *packet.Buf) {
-	if t.s.eng.group.Version() != t.version.Load() {
-		t.reconcile()
-	}
+	t.reconcile()
 	packet.PutSessionID(b.B, t.s.id)
 	if t.tee.Dispatch(b) == 0 {
 		t.s.counters.Drops.Add(1)
@@ -249,9 +245,13 @@ func (t *deliveryTree) dispatch(b *packet.Buf) {
 // departed members leave their cohorts (their adaptation loops with them),
 // new members are placed into the cohort their tail plan and initial policy
 // decision select, and the tee's tap list is republished. Runs on the trunk
-// sink goroutine (version check in dispatch) and on the feedback path
-// (handleFeedback), serialized by t.mu.
+// sink goroutine (dispatch) and on the read loop's feedback and NACK paths,
+// serialized by t.mu; an unchanged group version returns before the lock, so
+// those callers do not wait behind an adaptation apply holding it.
 func (t *deliveryTree) reconcile() {
+	if t.s.eng.group.Version() == t.version.Load() {
+		return
+	}
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	members, v := t.s.eng.group.SnapshotVersion()
@@ -280,21 +280,18 @@ func (t *deliveryTree) reconcile() {
 // addMemberLocked admits one new fan-out member: it is placed into the cohort
 // selected by the engine's branch plan and the policy's clean-link decision
 // (so always-on protection ladders get their encoder cohort from the first
-// frame), its adaptation loop joins the session bus, and its delivery is
+// frame), its adaptation loop starts from that decision, and its delivery is
 // primed from the trunk's replay history. Caller holds t.mu.
 func (t *deliveryTree) addMemberLocked(ap netip.AddrPort) {
 	e := t.s.eng
 	m := &member{ap: ap, plan: e.branchPlan}
-	mech, params := adapt.MechanismNone, fec.Params{K: 1, N: 1}
+	d := decision{params: fec.Params{K: 1, N: 1}}
 	if e.adaptOn {
-		mech, params = e.policy.Decide(0, 0)
+		d = e.cleanDecision()
 	}
-	effective := mech
-	if !m.plan.Has(compose.KindFECAdapt) {
-		effective = adapt.MechanismNone
-	}
+	effective := effectiveMech(m.plan, d.mech)
 	t.members[ap] = m
-	if _, err := t.assignLocked(m, effective, params); err != nil {
+	if _, err := t.assignLocked(m, effective, d.params); err != nil {
 		// The member gets nothing until membership changes again; branch
 		// specs are validated at engine construction, so this is a
 		// resource-level failure worth surfacing.
@@ -304,30 +301,17 @@ func (t *deliveryTree) addMemberLocked(ap netip.AddrPort) {
 		return
 	}
 	if e.adaptOn {
-		m.resp = &memberResponder{
-			name:    fmt.Sprintf("adapt:%d:%s", t.s.id, ap),
-			tree:    t,
-			m:       m,
-			current: params,
-			mech:    mech,
-			active:  effective != adapt.MechanismNone,
-		}
-		loop, err := t.cs.adaptor.addMemberLoop(ap.String(), m.resp)
-		if err != nil {
-			e.logf("session %d: member %s adaptor: %v", t.s.id, ap, err)
-		} else {
-			m.loop = loop
-		}
+		m.loop = t.cs.adaptor.addLoop(ap, m, d, effective != adapt.MechanismNone)
 	}
 	t.primeLocked(m)
 }
 
-// removeMemberLocked evicts a departed member: its loop leaves the bus and it
+// removeMemberLocked evicts a departed member: its loop is forgotten and it
 // leaves its cohort with no fade (frames in flight to a receiver that left
 // the group are simply not sent). Caller holds t.mu.
 func (t *deliveryTree) removeMemberLocked(m *member) {
 	if m.loop != nil {
-		t.cs.adaptor.removeLoop(m.loop)
+		t.cs.adaptor.removeLoop(m.ap)
 		m.loop = nil
 	}
 	if m.cohort != nil {
@@ -346,8 +330,11 @@ func (t *deliveryTree) removeMemberLocked(m *member) {
 // trunk frame lands on exactly one side of the cut in both cohorts' outbound
 // sequence spaces — no frame is lost in flight and none is delivered twice,
 // even when the member rejoins a cohort it is still fading out of (the fade's
-// fence and the fresh gate's are disjoint by construction). It reports
-// whether the member actually moved. Caller holds t.mu.
+// fence and the fresh gate's are disjoint by construction). The fences are
+// published before their seals are requested: a fast cohort chain can emit
+// the seal marker the moment it is enqueued, and sealing reads only the
+// published view. It reports whether the member actually moved. Caller holds
+// t.mu.
 func (t *deliveryTree) assignLocked(m *member, mech adapt.Mechanism, params fec.Params) (bool, error) {
 	key := cohortKeyFor(m.plan, mech, params)
 	if m.cohort != nil && m.cohort.key == key {
@@ -371,39 +358,38 @@ func (t *deliveryTree) assignLocked(m *member, mech adapt.Mechanism, params fec.
 	t.tee.Swap(t.tapsLocked(), func() {
 		if old != nil {
 			old.addFadeLocked(m)
+			old.publishLocked()
 		}
 		c.armGateLocked(m)
 		c.publishLocked()
 		if old != nil {
-			old.publishLocked()
+			old.requestSealLocked()
 		}
+		c.requestSealLocked()
 	})
 	t.pruneLocked()
 	return true, nil
 }
 
-// retune is the member adaptation loops' entry point: re-decide the repair
-// mechanism from the receiver's reported loss and RTT and move the member to
-// the matching cohort. A plan without a fec-adapt marker forces the effective
-// mechanism to none — the operator recomposed repair away, so the loop goes
-// dormant until a recompose restores the marker (the decided level is still
-// recorded for stats). Runs on the session bus's dispatch goroutine.
-func (t *deliveryTree) retune(m *member, loss float64, rttMillis uint32) error {
+// retune applies a member loop's decision: the member moves to the cohort
+// the decided mechanism selects, and a move counts as the loop's retune. A
+// plan without a fec-adapt marker forces the effective mechanism to none —
+// the operator recomposed repair away, so the loop goes dormant until a
+// recompose restores the marker (the decision is still recorded for stats).
+// Runs on the maintenance goroutine.
+func (t *deliveryTree) retune(l *receiverLoop, d decision) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
+	m := l.m
 	if t.members[m.ap] != m {
-		return nil // departed while the event was queued
+		return nil // departed while the loop was queued
 	}
-	mech, params := t.s.eng.policy.Decide(loss, rttMillis)
-	effective := mech
-	if !m.plan.Has(compose.KindFECAdapt) {
-		effective = adapt.MechanismNone
-	}
-	moved, err := t.assignLocked(m, effective, params)
+	effective := effectiveMech(m.plan, d.mech)
+	moved, err := t.assignLocked(m, effective, d.params)
 	if err != nil {
 		return err
 	}
-	m.resp.set(params, mech, loss, effective != adapt.MechanismNone, moved)
+	l.record(d, moved, effective != adapt.MechanismNone)
 	return nil
 }
 
@@ -427,19 +413,16 @@ func (t *deliveryTree) rewriteMemberPlan(ap netip.AddrPort, op func(compose.Plan
 		return "", err
 	}
 	m.plan = plan
-	mech, params := adapt.MechanismNone, fec.Params{K: 1, N: 1}
-	if m.resp != nil {
-		mech, params = m.resp.decision()
+	d := decision{params: fec.Params{K: 1, N: 1}}
+	if m.loop != nil {
+		d = m.loop.applied()
 	}
-	effective := mech
-	if !plan.Has(compose.KindFECAdapt) {
-		effective = adapt.MechanismNone
-	}
-	if _, err := t.assignLocked(m, effective, params); err != nil {
+	effective := effectiveMech(plan, d.mech)
+	if _, err := t.assignLocked(m, effective, d.params); err != nil {
 		return "", err
 	}
-	if m.resp != nil {
-		m.resp.setActive(effective != adapt.MechanismNone)
+	if m.loop != nil {
+		m.loop.record(d, false, effective != adapt.MechanismNone)
 	}
 	return plan.String(), nil
 }
@@ -613,7 +596,7 @@ func (t *deliveryTree) close() {
 	t.tee.SetTaps(nil)
 	for ap, m := range t.members {
 		if m.loop != nil {
-			t.cs.adaptor.removeLoop(m.loop)
+			t.cs.adaptor.removeLoop(ap)
 		}
 		delete(t.members, ap)
 	}
@@ -640,8 +623,10 @@ func (t *deliveryTree) stats() []metrics.ReceiverStats {
 				st.Stages = names[1 : len(names)-1]
 			}
 		}
-		if m.loop != nil {
-			m.loop.fill(&st)
+		if l := m.loop; l != nil {
+			l.mu.Lock()
+			l.fillLocked(&st)
+			l.mu.Unlock()
 		}
 		out = append(out, st)
 	}
@@ -766,35 +751,35 @@ func (c *cohort) dropTargetLocked(m *member) {
 // addFadeLocked keeps a migrated member receiving the cohort's in-flight
 // frames: everything up to the cut, nothing newer. The fade starts unsealed
 // (deliver everything) and is sealed to the exact outbound sequence of the
-// cut by the cohort itself — the bypass lane on its next deliver, a chain
-// cohort when the seal marker enqueued here emerges from its chain behind
-// every pre-cut frame. Caller holds tree.mu, runs inside the tee swap
-// barrier, and republishes the view.
+// cut by the cohort itself once the caller has published it and requested
+// the seal — the bypass lane on its next deliver, a chain cohort when the
+// seal marker emerges from its chain behind every pre-cut frame. Caller holds
+// tree.mu and runs inside the tee swap barrier.
 func (c *cohort) addFadeLocked(m *member) {
 	c.sealSeq++
 	f := &fadeTarget{dst: m.ap, rx: &m.counters, seal: c.sealSeq}
 	f.expiresAt.Store(fenceUnsealed)
 	c.fades = append(c.fades, f)
-	c.requestSealLocked()
 }
 
 // armGateLocked fences a joining member in: the shard writer starts stamping
 // this cohort's output to the member only from the seal point onward, so
 // frames already inside the cohort at join time (owed to the member by its
 // previous cohort's fade, or predating its membership entirely) are never
-// delivered to it from here. Caller holds tree.mu, runs inside the tee swap
-// barrier, and republishes the view.
+// delivered to it from here. Like a fade, the gate is sealed once the caller
+// has published it and requested the seal. Caller holds tree.mu and runs
+// inside the tee swap barrier.
 func (c *cohort) armGateLocked(m *member) {
 	c.sealSeq++
 	m.gate = &startGate{seal: c.sealSeq}
 	m.gate.at.Store(fenceUnsealed)
-	c.requestSealLocked()
 }
 
 // requestSealLocked arranges for the fences cut at the current seal sequence
 // to be located in the cohort's outbound frame stream. Caller holds tree.mu
 // inside the tee swap barrier, so the cut lies exactly between the frames the
-// cohort has already been handed and every frame it will see next.
+// cohort has already been handed and every frame it will see next, and has
+// published the fences: the seal may land before this returns.
 func (c *cohort) requestSealLocked() {
 	if c.bypass {
 		c.pendingSeal.Store(true)
@@ -910,98 +895,3 @@ func (c *cohort) stop() {
 		}
 	})
 }
-
-// memberResponder is a fan-out member's end of the adaptation plane: its
-// receiverLoop's responder, whose loss-rate events re-decide the member's
-// repair mechanism and move it between cohorts. It holds the member's decided
-// state for stats — the same surface raplet.ChainFECResponder exposes for
-// trunk loops — while the chain the decision selects is shared cohort
-// machinery owned by the delivery tree.
-type memberResponder struct {
-	name string
-	tree *deliveryTree
-	m    *member
-
-	mu       sync.Mutex
-	current  fec.Params
-	mech     adapt.Mechanism
-	lastLoss float64
-	retunes  uint64
-	active   bool
-}
-
-// Name implements raplet.Responder.
-func (r *memberResponder) Name() string { return r.name }
-
-// Handle implements raplet.Responder: loss-rate events from the member's own
-// observer re-decide its cohort. Runs on the session bus goroutine.
-func (r *memberResponder) Handle(e raplet.Event) error {
-	if e.Type != raplet.EventLossRate {
-		return nil
-	}
-	return r.tree.retune(r.m, e.Value, e.RTTMillis)
-}
-
-// set records the outcome of one retune decision. moved increments the retune
-// counter: a cohort move is the cohort world's equivalent of a splice.
-func (r *memberResponder) set(params fec.Params, mech adapt.Mechanism, loss float64, active, moved bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.current, r.mech, r.lastLoss, r.active = params, mech, loss, active
-	if moved {
-		r.retunes++
-	}
-}
-
-// decision returns the mechanism and parameters last decided for the member.
-func (r *memberResponder) decision() (adapt.Mechanism, fec.Params) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.mech, r.current
-}
-
-// setActive records a repair-engagement change caused by a plan rewrite
-// rather than a policy decision (marker recomposed away or back in).
-func (r *memberResponder) setActive(active bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.active = active
-}
-
-// Current returns the code the member's loop last decided (K == N: no FEC).
-func (r *memberResponder) Current() fec.Params {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.current
-}
-
-// Mechanism returns the repair mechanism last decided for the member.
-func (r *memberResponder) Mechanism() adapt.Mechanism {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.mech
-}
-
-// LastLoss returns the most recent loss rate the member's loop acted on.
-func (r *memberResponder) LastLoss() float64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.lastLoss
-}
-
-// Retunes returns how many times the member changed cohorts.
-func (r *memberResponder) Retunes() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.retunes
-}
-
-// Active reports whether a repair stage currently protects the member's
-// cohort.
-func (r *memberResponder) Active() bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.active
-}
-
-var _ raplet.Responder = (*memberResponder)(nil)

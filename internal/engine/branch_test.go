@@ -7,7 +7,10 @@ import (
 	"testing"
 	"time"
 
+	"rapidware/internal/adapt"
+	"rapidware/internal/fec"
 	"rapidware/internal/metrics"
+	"rapidware/internal/multicast"
 	"rapidware/internal/packet"
 )
 
@@ -458,4 +461,54 @@ func TestEngineCohortChurnNoLoss(t *testing.T) {
 		mu.Unlock()
 		return rs.Drops == 0 && rs.OutPackets == got
 	})
+}
+
+// TestCohortHandoverFencesSealAfterPublish is the regression test for
+// handover fences that stayed unsealed. A cohort may seal a fence the moment
+// its seal is requested — a fast chain forwards the marker at once, a full
+// cohort queue seals synchronously — and sealing reads only the published
+// view, so a fence whose seal was requested before it was published stayed
+// unsealed: a fade duplicated its cohort's output, a gate cut the joiner off.
+// Here the member moves between two cohorts whose queues nothing drains, so
+// every seal lands inside its request, deterministically.
+func TestCohortHandoverFencesSealAfterPublish(t *testing.T) {
+	rx := listenReceiver(t)
+	e := newTestEngine(t, Config{Fanout: []string{rx.LocalAddr().String()}, Branch: "fec-adapt"})
+	s := openTrunk(t, e, 3)
+	tree := s.state().tree
+	tree.mu.Lock()
+	defer tree.mu.Unlock()
+	m := tree.members[multicast.UnmapAddrPort(rx.LocalAddr().(*net.UDPAddr).AddrPort())]
+	if m == nil {
+		t.Fatal("receiver has no member")
+	}
+	stalled := func(params fec.Params) *cohort {
+		key := cohortKeyFor(m.plan, adapt.MechanismFEC, params)
+		c := &cohort{key: key, tree: tree, in: make(chan *packet.Buf)}
+		c.view.Store(&cohortView{})
+		tree.cohorts[key] = c
+		return c
+	}
+	a := stalled(fec.Params{K: 4, N: 8})
+	if _, err := tree.assignLocked(m, adapt.MechanismFEC, fec.Params{K: 4, N: 8}); err != nil {
+		t.Fatal(err)
+	}
+	if m.cohort != a || m.gate == nil || m.gate.at.Load() == fenceUnsealed {
+		t.Fatalf("gate into the first cohort left unsealed")
+	}
+	b := stalled(fec.Params{K: 4, N: 12})
+	if _, err := tree.assignLocked(m, adapt.MechanismFEC, fec.Params{K: 4, N: 12}); err != nil {
+		t.Fatal(err)
+	}
+	if m.cohort != b || m.gate == nil || m.gate.at.Load() == fenceUnsealed {
+		t.Fatalf("gate into the second cohort left unsealed")
+	}
+	fades := a.view.Load().fades
+	if len(fades) != 1 || fades[0].dst != m.ap || fades[0].expiresAt.Load() == fenceUnsealed {
+		t.Fatalf("fade out of the first cohort left unsealed (%d fades)", len(fades))
+	}
+	// Back to the bypass lane, so the stalled cohorts are pruned.
+	if _, err := tree.assignLocked(m, adapt.MechanismNone, fec.Params{K: 1, N: 1}); err != nil {
+		t.Fatal(err)
+	}
 }

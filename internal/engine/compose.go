@@ -12,26 +12,35 @@ import (
 // Session-scoped composition: the control plane addresses a live session (and
 // optionally one of its fan-out receivers) and rewrites its chain while
 // traffic flows. Trunk operations resolve the session's compose.Live and
-// apply the rewrite under its splice lock, serialized with the session's
-// adaptation responder. Receiver operations rewrite the member's tail *plan*
+// apply the rewrite under its splice lock, serialized with the adaptation
+// loop's marker splices. Receiver operations rewrite the member's tail *plan*
 // and reassign its delivery cohort — under cohort delivery a receiver's tail
 // is shared state, so a per-receiver rewrite is a membership move, never
 // surgery on a chain other receivers are using. The canonical plan string
 // after the rewrite is returned for display.
 
-// liveFor resolves the composed trunk chain a session-wide control operation
-// addresses. A parked session is unparked first — a control operation is
-// activity, and it needs a chain to act on.
-func (e *Engine) liveFor(id uint32) (*compose.Live, compose.Mode, error) {
+// trunkOp applies one session-wide control operation to the composed trunk
+// chain and returns the canonical plan string after it. A parked session is
+// unparked first — a control operation is activity, and it needs a chain to
+// act on. An adaptive trunk's loop then reconciles its fec-adapt marker with
+// the rewritten plan, so a recompose that restores the marker re-engages the
+// repair the loop had decided.
+func (e *Engine) trunkOp(id uint32, op func(*compose.Live, compose.Mode) error) (string, error) {
 	s := e.table.lookup(id)
 	if s == nil {
-		return nil, compose.Mode{}, fmt.Errorf("%w: %d", ErrUnknownSession, id)
+		return "", fmt.Errorf("%w: %d", ErrUnknownSession, id)
 	}
 	cs, err := s.ensureLive()
 	if err != nil {
-		return nil, compose.Mode{}, fmt.Errorf("engine: session %d: %w", id, err)
+		return "", fmt.Errorf("engine: session %d: %w", id, err)
 	}
-	return cs.live, e.trunkMode(), nil
+	if err := op(cs.live, e.trunkMode()); err != nil {
+		return "", err
+	}
+	if cs.adaptor != nil {
+		cs.adaptor.requeueTrunk()
+	}
+	return cs.live.String(), nil
 }
 
 // memberPlanOp applies a plan rewrite to one fan-out receiver's tail: resolve
@@ -71,18 +80,13 @@ func (e *Engine) RecomposeSession(id uint32, receiver, target string) (string, e
 			return compose.ParseWith(e.reg, target, compose.ModeBranch)
 		})
 	}
-	live, mode, err := e.liveFor(id)
-	if err != nil {
-		return "", err
-	}
-	plan, err := compose.ParseWith(e.reg, target, mode)
-	if err != nil {
-		return "", err
-	}
-	if err := live.Recompose(plan); err != nil {
-		return "", err
-	}
-	return live.String(), nil
+	return e.trunkOp(id, func(live *compose.Live, mode compose.Mode) error {
+		plan, err := compose.ParseWith(e.reg, target, mode)
+		if err != nil {
+			return err
+		}
+		return live.Recompose(plan)
+	})
 }
 
 // InsertSessionStage splices one stage (spec syntax, e.g. "delay=5ms") into
@@ -97,18 +101,13 @@ func (e *Engine) InsertSessionStage(id uint32, receiver, stage string, pos int) 
 			return p.WithInsert(pos, st)
 		})
 	}
-	live, mode, err := e.liveFor(id)
-	if err != nil {
-		return "", err
-	}
-	st, err := parseOneStage(e.reg, stage, mode)
-	if err != nil {
-		return "", err
-	}
-	if err := live.InsertStage(st, pos); err != nil {
-		return "", err
-	}
-	return live.String(), nil
+	return e.trunkOp(id, func(live *compose.Live, mode compose.Mode) error {
+		st, err := parseOneStage(e.reg, stage, mode)
+		if err != nil {
+			return err
+		}
+		return live.InsertStage(st, pos)
+	})
 }
 
 // RemoveSessionStage removes a stage from a live session chain. sel is a
@@ -125,19 +124,12 @@ func (e *Engine) RemoveSessionStage(id uint32, receiver, sel string) (string, er
 			return p.WithRemove(pos)
 		})
 	}
-	live, _, err := e.liveFor(id)
-	if err != nil {
-		return "", err
-	}
-	if pos, convErr := strconv.Atoi(sel); convErr == nil {
-		err = live.RemoveStageAt(pos)
-	} else {
-		err = live.RemoveStageKind(sel)
-	}
-	if err != nil {
-		return "", err
-	}
-	return live.String(), nil
+	return e.trunkOp(id, func(live *compose.Live, _ compose.Mode) error {
+		if pos, convErr := strconv.Atoi(sel); convErr == nil {
+			return live.RemoveStageAt(pos)
+		}
+		return live.RemoveStageKind(sel)
+	})
 }
 
 // MoveSessionStage relocates a stage between plan positions of a live
@@ -148,14 +140,9 @@ func (e *Engine) MoveSessionStage(id uint32, receiver string, from, to int) (str
 			return p.WithMove(from, to)
 		})
 	}
-	live, _, err := e.liveFor(id)
-	if err != nil {
-		return "", err
-	}
-	if err := live.MoveStage(from, to); err != nil {
-		return "", err
-	}
-	return live.String(), nil
+	return e.trunkOp(id, func(live *compose.Live, _ compose.Mode) error {
+		return live.MoveStage(from, to)
+	})
 }
 
 // parseOneStage parses a spec that must contain exactly one stage.

@@ -12,8 +12,8 @@
 // registry, every session binds its chain to a compose.Live, and the
 // control plane can atomically recompose any live session's chain — full
 // target-spec rewrites (RecomposeSession) or single-stage surgery — while
-// it carries traffic, serialized with the adaptation responders on the same
-// splice lock.
+// it carries traffic, serialized with the adaptation loops' marker splices
+// on the same splice lock.
 //
 // The data plane is sharded: Config.Shards reader goroutines (default one
 // per CPU) pull datagrams off the socket, sessions live in a sharded table
@@ -66,7 +66,7 @@
 // (packet.KindNack) are consumed like feedback — never entering a chain,
 // never opening a session, honored only from legitimate receivers — and
 // answered out of the session's ARQ retransmission history (an "arq" chain
-// stage, or the history an adaptation responder spliced in), unicast back to
+// stage, or the history an adaptation loop spliced in), unicast back to
 // the requester. And when a session's trunk carries a "replay=<n>" stage, a
 // station joining the fan-out group mid-stream is primed with the retained
 // window — replayed directly to it, as recorded — when it is admitted.
@@ -182,12 +182,12 @@ type Config struct {
 	Branch string
 	// Adapt enables the closed-loop adaptation plane, driven by receiver
 	// reports (KindFeedback datagrams sent upstream on the engine socket).
-	// On unicast (echo/forward) sessions an FEC responder splices an
-	// adaptive encoder into the session's live chain as loss appears,
+	// On unicast (echo/forward) sessions the trunk's adaptation loop splices
+	// an adaptive encoder into the session's live chain as loss appears,
 	// retunes its (n,k) as loss moves between policy levels, and removes it
 	// again on a clean link. On fan-out sessions adaptation is per receiver:
-	// every member of the group gets its own delivery branch and its own
-	// observer/responder pair, so one station's bad radio link no longer
+	// every member of the group gets its own adaptation loop, which moves it
+	// between delivery cohorts, so one station's bad radio link no longer
 	// taxes the whole group with worst-case parity.
 	Adapt bool
 	// AdaptPolicy is the loss → (n,k) ladder used when the adaptation plane
@@ -242,7 +242,7 @@ type Engine struct {
 	// session's trunk chain and delivery-branch tails start from. When the
 	// adaptation plane manages a chain, its plan carries a fec-adapt marker
 	// stage (injected for adaptive trunks, from the Branch spec or injected
-	// for branches) at the position the responder splices the encoder.
+	// for branches) at the position the adaptation loop splices the encoder.
 	reg       *compose.Registry
 	trunkPlan compose.Plan
 
@@ -264,7 +264,16 @@ type Engine struct {
 	closed      atomic.Bool
 	active      atomic.Int64 // registered sessions (live + parked), admission-checked against MaxSessions
 	stopWriters chan struct{}
-	wg          sync.WaitGroup // shard readers and writers
+	wg          sync.WaitGroup // shard readers and writers, maintenance goroutine
+
+	// Adaptation applies (adapt.go): receiver loops whose decision changed
+	// wait in applyQ, each at most once, and applyWake nudges the
+	// maintenance goroutine. maintMu serializes maintenance passes, so
+	// applies never run concurrently.
+	maintMu   sync.Mutex
+	applyMu   sync.Mutex
+	applyQ    []*receiverLoop
+	applyWake chan struct{}
 
 	// exitWg tracks in-flight session exit hooks. A plain WaitGroup would
 	// race: openSession may run on any goroutine (readers, tests), so an
@@ -336,6 +345,7 @@ func New(cfg Config) (*Engine, error) {
 		table:       newTable(cfg.Shards),
 		shards:      make([]shard, cfg.Shards),
 		stopWriters: make(chan struct{}),
+		applyWake:   make(chan struct{}, 1),
 	}
 	for i := range e.shards {
 		e.shards[i] = shard{idx: i, eng: e, writeq: make(chan outbound, writeQueueDepth)}
@@ -366,8 +376,8 @@ func New(cfg Config) (*Engine, error) {
 	// receiver.
 	e.branching = e.group != nil && (cfg.Adapt || cfg.Branch != "")
 	// Chains owned by the adaptation plane carry a fec-adapt marker in their
-	// plan: the position the responder's encoder activates at, visible in
-	// (and preserved by) control-plane recomposition. Specs without an
+	// plan: the position the adaptation loop's encoder activates at, visible
+	// in (and preserved by) control-plane recomposition. Specs without an
 	// explicit marker get one injected right after the chain source, the
 	// historical default splice position.
 	if e.adaptOn {
@@ -481,10 +491,10 @@ func (e *Engine) Start() error {
 		go sh.readLoop()
 		go sh.writeLoop()
 	}
-	// One maintenance ticker for the whole engine serves both timer-driven
-	// concerns — stale-receiver sweeps and idle-session parking — so the
-	// timer goroutine count is O(1), not O(sessions).
-	if iv := e.maintInterval(); iv > 0 {
+	// One maintenance goroutine for the whole engine serves the timer-driven
+	// concerns — stale-receiver aging and idle-session parking — and applies
+	// adaptation decisions, so the count is O(1), not O(sessions).
+	if iv := e.maintInterval(); iv > 0 || e.adaptOn {
 		e.wg.Add(1)
 		go e.maintenanceLoop(iv)
 	}
@@ -593,8 +603,8 @@ func (e *Engine) shardFor(id uint32) *shard {
 // openSession creates, registers and starts a session for id. The first
 // datagram's source becomes the session's initial peer. The slow path runs
 // lock-free: admission is one atomic against the global cap, the session —
-// chain build, raplet bus and all — is constructed with no lock held, and
-// only the final registration takes the owning table shard's lock. When two
+// chain build, adaptation prime and all — is constructed with no lock held,
+// and only the final registration takes the owning table shard's lock. When two
 // readers race to open the same ID, the loser tears its construction down
 // and adopts the winner.
 func (e *Engine) openSession(id uint32, peer netip.AddrPort) (*Session, error) {
@@ -602,15 +612,15 @@ func (e *Engine) openSession(id uint32, peer netip.AddrPort) (*Session, error) {
 		return nil, ErrEngineClosed
 	}
 	// Admission is one atomic against the global cap. Under the harvest
-	// policy a full table evicts its oldest-idle session and retries; the
-	// attempt bound keeps a pathological race (every freed slot snatched by
-	// concurrent opens) from spinning the read loop.
-	for attempt := 0; ; attempt++ {
+	// policy a full table evicts its oldest-idle session and retries; a slot
+	// a concurrent open snatched first is retried too, since every round
+	// evicts a victim and refusal comes only once none is left.
+	for {
 		if n := e.active.Add(1); n <= int64(e.cfg.MaxSessions) {
 			break
 		}
 		e.active.Add(-1)
-		if e.cfg.Admission != AdmitHarvest || attempt >= 2 || !e.harvestOldestIdle(id) {
+		if e.cfg.Admission != AdmitHarvest || !e.harvestOldestIdle(id) {
 			e.shardFor(id).counters.admitDrops.Add(1)
 			return nil, ErrSessionLimit
 		}
@@ -764,6 +774,7 @@ func (e *Engine) Stats() Stats {
 		st.Unparks += c.unparks.Load()
 		st.Harvested += c.harvested.Load()
 		st.AdmissionDrops += c.admitDrops.Load()
+		st.CloseDrops += c.closeDrops.Load()
 	}
 	st.ParkedSessions = int(parked)
 	if st.LiveSessions = st.ActiveSessions - st.ParkedSessions; st.LiveSessions < 0 {

@@ -135,16 +135,17 @@ func TestEngineSessionLimit(t *testing.T) {
 	e := newTestEngine(t, Config{MaxSessions: 2})
 	c := dialEngine(t, e)
 
-	for id := uint32(1); id <= 3; id++ {
+	// Sessions 1 and 2 echo; session 3 is refused. Each echo is awaited
+	// before the next session's first datagram goes out: the shard readers
+	// share one socket, so datagrams sent back to back may be admitted in
+	// either order.
+	for id := uint32(1); id <= 2; id++ {
 		sendPacket(t, c, id, &packet.Packet{Kind: packet.KindData, Payload: []byte("x")})
-	}
-	// Sessions 1 and 2 echo; session 3 is refused.
-	for i := 0; i < 2; i++ {
-		id, _ := readPacket(t, c, 2*time.Second)
-		if id != 1 && id != 2 {
-			t.Fatalf("unexpected echo from session %d", id)
+		if got, _ := readPacket(t, c, 2*time.Second); got != id {
+			t.Fatalf("unexpected echo from session %d", got)
 		}
 	}
+	sendPacket(t, c, 3, &packet.Packet{Kind: packet.KindData, Payload: []byte("x")})
 	deadline := time.Now().Add(2 * time.Second)
 	for e.Stats().Rejected == 0 {
 		if time.Now().After(deadline) {

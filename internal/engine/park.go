@@ -9,17 +9,16 @@ import (
 )
 
 // Idle-session parking: the mechanism that lets the engine hold a million
-// mostly-idle sessions. A live session costs two chain goroutines, a queue of
-// pooled buffers, and (with adaptation) a bus goroutine. After Config.IdleTTL
-// with no traffic the engine's maintenance tick *parks* the session: its
-// chain drains and stops through the ordinary quiescence machinery, both
-// goroutines and the queue are released, and all that remains is the Session
-// struct — identity, counters, peer — plus the canonical compose.Plan and an
-// adaptation snapshot. The first inbound datagram (or control operation)
-// *unparks* it by rebuilding the chain from the retained plan, transparently
-// to peers. Parked sessions keep their registration: the session ID, its
-// pinned peer and its counters all survive, so parking is invisible except as
-// first-packet rebuild latency.
+// mostly-idle sessions. A live session costs two chain goroutines and a queue
+// of pooled buffers. After Config.IdleTTL with no traffic the engine's
+// maintenance tick *parks* the session: its chain drains and stops through the
+// ordinary quiescence machinery, both goroutines and the queue are released,
+// and all that remains is the Session struct — identity, counters, peer — plus
+// the canonical compose.Plan and an adaptation snapshot. The first inbound
+// datagram (or control operation) *unparks* it by rebuilding the chain from
+// the retained plan, transparently to peers. Parked sessions keep their
+// registration: the session ID, its pinned peer and its counters all survive,
+// so parking is invisible except as first-packet rebuild latency.
 
 // errSessionClosed reports an unpark attempt on a session that is being torn
 // down.
@@ -45,20 +44,17 @@ func (s *Session) park() bool {
 	if cs.adaptor != nil {
 		snap = cs.adaptor.stats()
 	}
-	// Retire, then drain, then stop: the adaptation plane goes first (its
-	// responder must not be left blocking on the splice lock we are about to
-	// take), then — under the chain's splice lock, so no recompose holds a
-	// link detached mid-swap — cs.stop feeds the source io.EOF and the EOF
-	// cascades down the chain, each stage draining what is buffered before
-	// observing it, until the sink has emitted every in-flight frame and its
-	// goroutine exits. Only then is the chain formally stopped: calling Stop
-	// earlier would force-close the interior streams and discard whatever was
-	// mid-chain, and park — unlike close — must not lose output. The retired
-	// flag tells the sink's exit hook this teardown is deliberate.
+	// Retire, then drain, then stop: retiring under parkMu turns any queued
+	// adaptation apply for this incarnation into a no-op, then — under the
+	// chain's splice lock, so no recompose holds a link detached mid-swap —
+	// cs.stop feeds the source io.EOF and the EOF cascades down the chain, each
+	// stage draining what is buffered before observing it, until the sink has
+	// emitted every in-flight frame and its goroutine exits. Only then is the
+	// chain formally stopped: calling Stop earlier would force-close the interior
+	// streams and discard whatever was mid-chain, and park — unlike close — must
+	// not lose output. The retired flag tells the sink's exit hook this teardown
+	// is deliberate.
 	cs.retired.Store(true)
-	if cs.adaptor != nil {
-		cs.adaptor.stop()
-	}
 	cs.live.Quiesce(func() {
 		close(cs.stop)
 		cs.sink.Wait()
@@ -175,7 +171,8 @@ func (e *Engine) ParkSession(id uint32) error {
 // maintInterval derives the single maintenance ticker's period from the two
 // concerns it serves: stale-receiver sweeps resolve at a quarter of the
 // report-staleness window, idle harvesting at a quarter of the idle TTL.
-// Returns 0 when neither concern is configured (no ticker goroutine at all).
+// Returns 0 when neither concern is configured: no ticker, and no maintenance
+// goroutine at all unless the adaptation plane needs it to apply decisions.
 func (e *Engine) maintInterval() time.Duration {
 	var iv time.Duration
 	if e.adaptOn && e.cfg.ReportStaleness > 0 {
@@ -192,17 +189,26 @@ func (e *Engine) maintInterval() time.Duration {
 	return iv
 }
 
-// maintenanceLoop is the engine's one timer goroutine: it drives both
-// stale-receiver aging and idle-session harvesting from a single ticker,
-// instead of one timer per concern per session.
+// maintenanceLoop is the engine's one background goroutine beyond the shard
+// loops: a single ticker drives stale-receiver aging and idle-session
+// harvesting for every session, and queued adaptation loops wake it to apply
+// their decisions. interval 0 runs no ticker.
 func (e *Engine) maintenanceLoop(interval time.Duration) {
 	defer e.wg.Done()
-	tick := time.NewTicker(interval)
-	defer tick.Stop()
+	var tick <-chan time.Time
+	if interval > 0 {
+		t := time.NewTicker(interval)
+		defer t.Stop()
+		tick = t.C
+	}
 	for {
 		select {
-		case <-tick.C:
+		case <-tick:
 			e.maintain(time.Now())
+		case <-e.applyWake:
+			e.maintMu.Lock()
+			e.applyQueuedLocked()
+			e.maintMu.Unlock()
 		case <-e.stopWriters:
 			return
 		}
@@ -210,12 +216,16 @@ func (e *Engine) maintenanceLoop(interval time.Duration) {
 }
 
 // maintain runs one maintenance tick at the given time: every live session's
-// observers are swept for stale receivers (when aging is on), and every live
-// session whose activity sum hasn't moved since the previous tick for at
-// least IdleTTL is parked. Taking `now` as a parameter keeps the tick
-// deterministic under test. Parked sessions are skipped — they cost nothing
-// and have nothing to sweep.
+// receiver loops are aged against the staleness window (when aging is on),
+// every live session whose activity sum hasn't moved since the previous tick
+// for at least IdleTTL is parked, and every queued adaptation decision is
+// applied. Taking `now` as a parameter keeps the tick deterministic under
+// test. Parked sessions are skipped — they cost nothing and have nothing to
+// age.
 func (e *Engine) maintain(now time.Time) {
+	e.maintMu.Lock()
+	defer e.maintMu.Unlock()
+	defer e.applyQueuedLocked()
 	sweep := e.adaptOn && e.cfg.ReportStaleness > 0
 	harvest := e.cfg.IdleTTL > 0
 	if !sweep && !harvest {
@@ -228,10 +238,7 @@ func (e *Engine) maintain(now time.Time) {
 			continue
 		}
 		if sweep && cs.adaptor != nil {
-			// Stamp lastSweep so the report path's opportunistic sweep backs
-			// off past this one.
-			cs.adaptor.lastSweep.Store(nanos)
-			cs.adaptor.sweepAll()
+			cs.adaptor.expire(nanos - int64(e.cfg.ReportStaleness))
 		}
 		if harvest {
 			if sum := s.activitySum(); sum != s.idleSeen.Load() {
@@ -250,16 +257,20 @@ func (e *Engine) maintain(now time.Time) {
 // evicting the best victim: a parked session if any, else the live session
 // idle the longest. The scan starts at the table shard that will own the
 // incoming ID — O(sessions/shards) in the common case — and walks subsequent
-// shards only if that one is empty. It reports whether a slot was freed.
+// shards only if that one is empty. It reports whether a slot was freed,
+// false only when the table holds no victim at all.
 func (e *Engine) harvestOldestIdle(incoming uint32) bool {
-	victim := e.table.oldestIdle(incoming)
-	if victim == nil {
-		return false
-	}
-	if !e.table.remove(victim.id, victim) {
-		// Somebody else (a concurrent harvest, close, or the exit hook) beat
-		// us to this victim; report failure and let the caller retry.
-		return false
+	var victim *Session
+	for {
+		if victim = e.table.oldestIdle(incoming); victim == nil {
+			return false
+		}
+		if e.table.remove(victim.id, victim) {
+			break
+		}
+		// Somebody else (a concurrent harvest, close, or the exit hook)
+		// removed this victim first; it is out of the table, so the next
+		// scan picks another.
 	}
 	e.active.Add(-1)
 	victim.shard.counters.harvested.Add(1)

@@ -505,6 +505,87 @@ func TestAdmissionHarvestEvictsOldestIdle(t *testing.T) {
 	}
 }
 
+// TestAdmissionHarvestRaceNeverRefuses opens fresh sessions from several
+// goroutines at once against a full table of parked sessions under
+// AdmitHarvest. Concurrent opens pick the same oldest victim, and only one can
+// evict it; the others must move on to the next victim instead of refusing
+// their datagram.
+func TestAdmissionHarvestRaceNeverRefuses(t *testing.T) {
+	const capacity, openers, perOpener = 64, 8, 16
+	e := newTestEngine(t, Config{MaxSessions: capacity, Shards: 2, Admission: AdmitHarvest, IdleTTL: time.Hour})
+	for id := uint32(1); id <= capacity; id++ {
+		openTrunk(t, e, id)
+		if err := e.ParkSession(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for g := 0; g < openers; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			<-start
+			for i := 0; i < perOpener; i++ {
+				id := uint32(1000 + g*perOpener + i)
+				if _, err := e.openSession(id, testPeer); err != nil {
+					t.Errorf("open %d: %v", id, err)
+				}
+			}
+		}(g)
+	}
+	close(start)
+	wg.Wait()
+	st := e.Stats()
+	if st.AdmissionDrops != 0 {
+		t.Fatalf("AdmissionDrops = %d with victims to harvest, want 0", st.AdmissionDrops)
+	}
+	if st.Harvested != openers*perOpener || e.SessionCount() != capacity {
+		t.Fatalf("Harvested = %d, sessions = %d; want %d and %d", st.Harvested, e.SessionCount(), openers*perOpener, capacity)
+	}
+}
+
+// TestHarvestCountsQueuedDatagrams harvests a live session whose inbound queue
+// still holds datagrams. They can no longer reach a chain, and the session's
+// counters leave with it, so each is counted in the engine's close-drop
+// bucket: every datagram the session accepted is relayed, dropped by name, or
+// close-dropped.
+func TestHarvestCountsQueuedDatagrams(t *testing.T) {
+	e := newTestEngine(t, Config{MaxSessions: 1, Admission: AdmitHarvest})
+	s := openTrunk(t, e, 1)
+	// Stall the session: retire the incarnation and end its chain (the first
+	// half of a park), so nothing reads the inbound queue while the session
+	// stays registered and live.
+	cs := s.state()
+	cs.retired.Store(true)
+	close(cs.stop)
+	cs.sink.Wait()
+	const queued = 5
+	for i := 0; i < queued; i++ {
+		dgram, err := packet.AppendDatagram(nil, 1, &packet.Packet{Seq: uint64(i), Kind: packet.KindData, Payload: []byte{byte(i)}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b := packet.GetBuf(len(dgram))
+		copy(b.B, dgram)
+		s.deliver(b, testPeer)
+	}
+	if n := len(cs.in); n != queued {
+		t.Fatalf("queue holds %d datagrams, want %d", n, queued)
+	}
+
+	openTrunk(t, e, 2) // at capacity: harvests session 1
+	st := e.Stats()
+	if st.Harvested != 1 || e.Session(1) != nil {
+		t.Fatalf("Harvested = %d, session 1 registered %v", st.Harvested, e.Session(1) != nil)
+	}
+	c := s.Counters()
+	in, out, drops := c.Packets.Load(), c.OutPackets.Load(), c.Drops.Load()
+	if st.CloseDrops != queued || in != out+drops+st.CloseDrops {
+		t.Fatalf("in %d != out %d + drops %d + close drops %d (want %d close drops)", in, out, drops, st.CloseDrops, queued)
+	}
+}
+
 // TestAdmissionRejectCountsDrops pins the default policy: at MaxSessions a
 // new ID is refused, counted in the per-shard admission-drop gauge, and the
 // table is untouched.

@@ -17,11 +17,11 @@ import (
 )
 
 // Session is one proxied stream inside an Engine. Its identity, counters and
-// peer pinning live directly on the struct and survive for the session's
-// whole registered lifetime; everything that costs resources at scale — the
-// filter chain, its two endpoint goroutines, the inbound queue, the
-// adaptation bus and the delivery tree — lives behind one atomic pointer to a
-// chainState, so an idle session can be parked down to this struct plus a
+// peer pinning live directly on the struct and survive for the session's whole
+// registered lifetime; everything that costs resources at scale — the filter
+// chain, its two endpoint goroutines, the inbound queue, the receiver
+// adaptation loops and the delivery tree — lives behind one atomic pointer to
+// a chainState, so an idle session can be parked down to this struct plus a
 // retained plan and later rebuilt transparently (see park.go). Sessions are
 // created on demand by the engine's read loop when a datagram with an unknown
 // session ID arrives.
@@ -87,14 +87,14 @@ type Session struct {
 type chainState struct {
 	chain *filter.Chain
 	// live binds the trunk chain to its composition plan; all structural
-	// mutation — control-plane recompose, responder splices — goes through
+	// mutation — control-plane recompose, adaptation splices — goes through
 	// it, serialized by its splice lock.
 	live   *compose.Live
 	source *endpoint.UDPSource
 	sink   *endpoint.UDPSink
 
-	// adaptor is the session's closed adaptation plane; nil when the engine
-	// runs without the feedback loop.
+	// adaptor holds the incarnation's receiver adaptation loops; nil when
+	// the engine runs without the feedback plane.
 	adaptor *sessionAdaptor
 
 	// tree is the session's per-receiver delivery tree: the trunk chain's
@@ -159,7 +159,7 @@ func (e *Engine) buildChainState(s *Session, plan compose.Plan) (*chainState, er
 	}
 	// Compose the trunk interior between the endpoints from the plan; the
 	// same Live later applies control-plane recompositions and the adaptation
-	// responder's splices to the running chain.
+	// loop's splices to the running chain.
 	live, err := compose.Attach(cs.chain, e.reg, s.composeEnv(), e.trunkMode(), plan)
 	if err != nil {
 		return nil, fmt.Errorf("engine: session %d chain: %w", s.id, err)
@@ -180,7 +180,7 @@ func (e *Engine) buildChainState(s *Session, plan compose.Plan) (*chainState, er
 		return nil, fmt.Errorf("engine: session %d start: %w", s.id, err)
 	}
 	if e.adaptOn {
-		a, err := newSessionAdaptor(s, cs, e.policy)
+		a, err := newSessionAdaptor(s, cs)
 		if err != nil {
 			// Deliberate teardown of the half-built incarnation: retire it
 			// first so the exit hook doesn't mistake the stop for a chain
@@ -219,7 +219,7 @@ func (s *Session) Chain() *filter.Chain {
 
 // Live exposes the session's composed trunk so the control plane (and tests)
 // can recompose it transactionally while traffic flows. nil while parked; the
-// engine's control operations go through liveFor, which unparks first.
+// engine's control operations go through trunkOp, which unparks first.
 func (s *Session) Live() *compose.Live {
 	if cs := s.cs.Load(); cs != nil {
 		return cs.live
@@ -259,7 +259,7 @@ func (s *Session) Counters() *metrics.SessionCounters { return &s.counters }
 // full Stats snapshot.
 func (s *Session) AdaptRetunes() uint64 {
 	if cs := s.cs.Load(); cs != nil && cs.adaptor != nil {
-		return cs.adaptor.retunes()
+		return cs.adaptor.retuned.Load()
 	}
 	return 0
 }
@@ -319,8 +319,8 @@ func (s *Session) Stats() metrics.SessionStats {
 // the feedback plane honors the same off-path protections as the data path.
 // Reports for a parked session are dropped too: feedback describes a stream
 // that is not flowing, and a chatty reporter must not keep an idle session's
-// chain alive (nor rebuild it). Called from the engine's read loop; the heavy
-// lifting happens on the bus goroutine.
+// chain alive (nor rebuild it). Called from the engine's read loop, which
+// decides the receiver's repair; applying it is the maintenance goroutine's.
 func (s *Session) handleFeedback(from netip.AddrPort, frame []byte) {
 	cs := s.cs.Load()
 	if cs == nil || cs.adaptor == nil {
@@ -375,7 +375,7 @@ func historyFor(live *compose.Live) retransmitter {
 // number out of the session's ARQ retransmission history with a unicast
 // retransmission to the requester. NACKs honor the same off-path gate as
 // receiver reports; on a fan-out session the requester's own delivery branch
-// is consulted first, so a branch whose responder escalated to ARQ serves its
+// is consulted first, so a branch whose loop escalated to ARQ serves its
 // receiver from its own history. Requests for sequence numbers the bounded
 // history no longer holds are silently unanswerable — the receiver's give-up
 // accounting owns that loss, and a parked session's history went with its
@@ -557,12 +557,14 @@ func (s *Session) send(cs *chainState, b *packet.Buf) error {
 	return nil
 }
 
-// close terminates the session: the adaptation plane stops first (so no
-// splice can race the teardown), then the source observes EOF, the trunk
-// chain drains and stops — flushing any in-flight frames through the tee —
-// the delivery branches drain and stop in turn, and queued buffers are
-// returned to the pool. A parked session closes by just releasing its slot in
-// the parked gauge — there is nothing else left to stop.
+// close terminates the session: the incarnation is retired (so a queued
+// adaptation apply finds it retired and does nothing), then the source
+// observes EOF, the trunk chain drains and stops — flushing any in-flight
+// frames through the tee — the delivery branches drain and stop in turn, and
+// datagrams still queued are returned to the pool and counted in the shard's
+// close-drop bucket, since the session's own counters leave with it. A parked
+// session closes by just releasing its slot in the parked gauge — there is
+// nothing else left to stop.
 func (s *Session) close() error {
 	s.closeOnce.Do(func() {
 		s.parkMu.Lock()
@@ -572,9 +574,6 @@ func (s *Session) close() error {
 			// Retire before stopping so the sink's exit hook recognizes the
 			// deliberate teardown.
 			cs.retired.Store(true)
-			if cs.adaptor != nil {
-				cs.adaptor.stop()
-			}
 		}
 		close(s.done)
 		if cs != nil {
@@ -589,6 +588,7 @@ func (s *Session) close() error {
 			for {
 				select {
 				case b := <-cs.in:
+					s.shard.counters.closeDrops.Add(1)
 					b.Release()
 				default:
 					break drain

@@ -57,6 +57,10 @@ type shardCounters struct {
 	unparks    atomic.Uint64
 	harvested  atomic.Uint64
 	admitDrops atomic.Uint64
+	// closeDrops counts datagrams still queued on a session when it was
+	// closed (harvest, eviction, Close): they leave with no session counter
+	// left to hold them.
+	closeDrops atomic.Uint64
 	// Delivery-cohort accounting: bypassHits counts trunk frames that took a
 	// bypass lane straight into the writer batch (no chain, no copy);
 	// coalesced counts cohort outbounds the writer expanded to two or more

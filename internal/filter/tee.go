@@ -1,9 +1,7 @@
 package filter
 
 import (
-	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"rapidware/internal/packet"
 )
@@ -20,17 +18,16 @@ type BufSink func(*packet.Buf)
 // trunk chain terminates in a Tee whose taps are the per-receiver branch
 // tails.
 //
-// Dispatch is wait-free with respect to SetTaps (one atomic pointer load plus
-// two atomic in-flight marks), so the trunk's hot path never takes a lock;
-// SetTaps is for the control path (membership reconciliation) and may be
-// called concurrently with Dispatch. Swap additionally lets the control path
-// run a critical section that is ordered after every Dispatch that saw the
-// old tap set — the hook delivery cohorts use to cut handover fences that are
-// exact in the frame stream.
+// Dispatch holds the tee's read lock (two uncontended atomics, no allocation)
+// while it loads the tap set and hands the buffer to every tap; SetTaps is
+// for the control path (membership reconciliation) and may be called
+// concurrently with Dispatch. Swap additionally runs a control-path critical
+// section at an exact cut in the dispatch stream — after every Dispatch that
+// saw the old tap set and before any Dispatch sees the new one — the hook
+// delivery cohorts use to cut handover fences.
 type Tee struct {
-	mu   sync.Mutex
-	taps atomic.Pointer[[]BufSink]
-	busy atomic.Int64
+	mu   sync.RWMutex
+	taps []BufSink
 }
 
 // NewTee returns a tee with no taps; Dispatch releases every buffer until
@@ -43,25 +40,15 @@ func (t *Tee) SetTaps(taps []BufSink) {
 	t.Swap(taps, nil)
 }
 
-// Swap replaces the tap set, waits until no Dispatch that could have loaded
-// the old set is still in flight, then runs fn (which may be nil). When fn
-// runs, every buffer dispatched through the old taps has been fully handed to
-// them, and every later Dispatch will use the new taps — so fn observes an
-// exact cut in the dispatch stream. fn must not call Dispatch (it would
-// deadlock behind its own barrier) and should be brief: the barrier only
-// spin-yields for the tail of at most one in-flight Dispatch, but fn itself
-// runs with the tee's control mutex held.
+// Swap replaces the tap set and runs fn (which may be nil) at the cut: when
+// fn runs, every buffer dispatched through the old taps has been fully handed
+// to them, and no buffer reaches the new taps until fn returns. fn must not
+// call Dispatch (it would deadlock behind its own barrier) and should be
+// brief: Dispatch waits for it.
 func (t *Tee) Swap(taps []BufSink, fn func()) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	if len(taps) == 0 {
-		t.taps.Store(nil)
-	} else {
-		t.taps.Store(&taps)
-	}
-	for t.busy.Load() != 0 {
-		runtime.Gosched()
-	}
+	t.taps = taps
 	if fn != nil {
 		fn()
 	}
@@ -69,11 +56,9 @@ func (t *Tee) Swap(taps []BufSink, fn func()) {
 
 // Len returns the current number of taps.
 func (t *Tee) Len() int {
-	p := t.taps.Load()
-	if p == nil {
-		return 0
-	}
-	return len(*p)
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	return len(t.taps)
 }
 
 // Dispatch fans b out to every tap, cloning ownership (reference counts)
@@ -81,14 +66,13 @@ func (t *Tee) Len() int {
 // buffer is released, with n taps each receives the same buffer holding one
 // of n references. It returns how many taps received the buffer.
 func (t *Tee) Dispatch(b *packet.Buf) int {
-	t.busy.Add(1)
-	defer t.busy.Add(-1)
-	p := t.taps.Load()
-	if p == nil {
+	t.mu.RLock()
+	defer t.mu.RUnlock()
+	taps := t.taps
+	if len(taps) == 0 {
 		b.Release()
 		return 0
 	}
-	taps := *p
 	if n := len(taps); n > 1 {
 		b.Retain(n - 1)
 	}

@@ -212,6 +212,10 @@ type EngineStats struct {
 	BatchedWrites uint64 `json:"batched_writes"`
 	WriteFlushes  uint64 `json:"write_flushes"`
 	WriteDrops    uint64 `json:"write_drops"`
+	// CloseDrops counts inbound datagrams still queued on a session when it
+	// was closed — harvested, evicted or shut down — so the engine-level
+	// books balance after the session's own counters are gone.
+	CloseDrops uint64 `json:"close_drops,omitempty"`
 	// RecvCalls and SendCalls count receive and send syscalls issued by the
 	// shard loops. With batched I/O each call can move many datagrams, so
 	// Datagrams/RecvCalls and BatchedWrites/SendCalls are the read and write

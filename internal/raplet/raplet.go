@@ -1,9 +1,13 @@
-// Package raplet implements RAPIDware's adaptive components: observers that
-// monitor the running system and responders that reconfigure it when relevant
-// events occur (Figure 2 of the paper). The canonical use is demand-driven
-// FEC: a loss-rate observer watches the quality of a wireless link and a
-// responder inserts or removes an FEC encoder filter in the proxy's chain as
-// the loss rate crosses configured thresholds.
+// Package raplet implements RAPIDware's adaptive components for the paper's
+// single-stream proxy: observers that monitor the running system and
+// responders that reconfigure it when relevant events occur (Figure 2 of the
+// paper), connected by an event Bus. What remains is what the paper's
+// demand-driven FEC experiment (internal/experiment) uses: a
+// LossRateObserver watches the quality of a wireless link and an FECResponder
+// inserts or removes an FEC encoder filter in a core.Proxy chain as the loss
+// rate crosses configured thresholds. The multi-session engine runs the same
+// observe → respond loop per receiver without a bus (internal/engine,
+// adapt.go).
 package raplet
 
 import (
@@ -38,10 +42,6 @@ type Event struct {
 	Source string
 	// Value is the numeric payload (loss rate, bandwidth, ...).
 	Value float64
-	// RTTMillis carries the reporting link's round-trip estimate in
-	// milliseconds alongside loss-rate events, 0 when unknown. Responders
-	// that choose among repair mechanisms (FEC vs ARQ) consult it.
-	RTTMillis uint32
 	// Time is when the observation was made.
 	Time time.Time
 	// Attrs carries any additional string attributes.

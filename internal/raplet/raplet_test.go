@@ -180,34 +180,6 @@ func TestLossRateObserverNeedsMinimumSignal(t *testing.T) {
 	}
 }
 
-func TestPollingObserverPublishesPeriodically(t *testing.T) {
-	bus := NewBus(64)
-	rec := &recorder{}
-	bus.Subscribe(EventBandwidth, rec)
-	bus.Start()
-	defer bus.Stop()
-
-	obs := NewPollingObserver("", bus, EventBandwidth, 5*time.Millisecond, func() float64 { return 2e6 })
-	if err := obs.Start(); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.Start(); err != nil {
-		t.Fatal("second Start should be a no-op")
-	}
-	rec.waitFor(t, 3)
-	if err := obs.Stop(); err != nil {
-		t.Fatal(err)
-	}
-	if err := obs.Stop(); err != nil {
-		t.Fatal("second Stop should be a no-op")
-	}
-	rec.mu.Lock()
-	defer rec.mu.Unlock()
-	if rec.events[0].Value != 2e6 {
-		t.Fatalf("sampled value = %v", rec.events[0].Value)
-	}
-}
-
 func newAdaptiveProxy(t *testing.T) *core.Proxy {
 	t.Helper()
 	p := core.New("adaptive")
@@ -270,44 +242,6 @@ func TestFECResponderValidation(t *testing.T) {
 	p := newAdaptiveProxy(t)
 	if _, err := NewFECResponder("x", p, fec.Params{K: 9, N: 3}, 1, 0.1); err == nil {
 		t.Fatal("expected error for invalid params")
-	}
-}
-
-func TestSpecResponderInsertBelowThreshold(t *testing.T) {
-	// Bandwidth responder: insert a rate limiter when bandwidth drops BELOW
-	// the threshold (insertWhenAbove=false).
-	p := newAdaptiveProxy(t)
-	r, err := NewSpecResponder("bw", p, filter.Spec{Kind: "ratelimit", Params: map[string]string{"bps": "32000"}}, 1, 64_000, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Handle(Event{Type: EventBandwidth, Value: 1e6}); err != nil {
-		t.Fatal(err)
-	}
-	if r.Active() {
-		t.Fatal("inserted despite plentiful bandwidth")
-	}
-	if err := r.Handle(Event{Type: EventBandwidth, Value: 32_000}); err != nil {
-		t.Fatal(err)
-	}
-	if !r.Active() || p.Chain().Len() != 3 {
-		t.Fatal("rate limiter not inserted on low bandwidth")
-	}
-	if err := r.Handle(Event{Type: EventBandwidth, Value: 5e6}); err != nil {
-		t.Fatal(err)
-	}
-	if r.Active() || p.Chain().Len() != 2 {
-		t.Fatal("rate limiter not removed on recovery")
-	}
-}
-
-func TestSpecResponderValidation(t *testing.T) {
-	p := newAdaptiveProxy(t)
-	if _, err := NewSpecResponder("x", nil, filter.Spec{Kind: "null"}, 1, 0, true); err == nil {
-		t.Fatal("expected error for nil proxy")
-	}
-	if _, err := NewSpecResponder("x", p, filter.Spec{}, 1, 0, true); err == nil {
-		t.Fatal("expected error for empty spec")
 	}
 }
 
