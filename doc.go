@@ -57,12 +57,14 @@
 // plan IR for every chain in the system, one parser for the spec language,
 // one canonical pretty-printer, and one stage registry shared by the
 // engine's trunk chains, its delivery-branch tails and the legacy stream
-// proxy. Every live session binds its chain to a compose.Live, whose
-// transactional recompose diffs plans, carries matching stage instances
-// across rewrites, and applies the change as a single atomic splice
-// (filter.Chain.SetInterior) that pauses inflow and drains each stage to
-// quiescence before detaching it — chains are rebuilt mid-traffic without
-// dropping a relayed packet. The control plane drives it end to end:
+// proxy. Every stage kind is a packet-native filter.Stage; the engine runs a
+// session's stages inline, to completion, on one worker goroutine, and the
+// stream-mode proxy hosts the same stages on detachable streams through
+// filter.Stream. Every live session binds its stage slice to a
+// compose.Live, whose recompose diffs plans, carries matching stage
+// instances across rewrites, and swaps the new slice in between two
+// datagrams, flushing any stage that leaves — chains are rebuilt mid-traffic
+// without dropping a relayed packet. The control plane drives it end to end:
 // OpRecompose (rapidctl compose <session> '<spec>'), session-scoped
 // insert/remove/move, and a per-stage counter view in rapidctl sessions.
 // Adaptation loops express their FEC splices through the same plane via a

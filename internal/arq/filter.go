@@ -2,7 +2,7 @@ package arq
 
 import (
 	"container/heap"
-	"io"
+	"math"
 	"sync"
 	"time"
 
@@ -10,18 +10,19 @@ import (
 	"rapidware/internal/packet"
 )
 
-// SenderFilter is the compose-plane "arq" stage: a pass-through filter that
-// records every data frame it forwards in a bounded ring keyed by sequence
-// number. The engine answers KindNack feedback from this history — the
+// SenderFilter is the compose-plane "arq" stage: a pass-through that copies
+// every data frame it forwards into a bounded ring keyed by sequence number.
+// The engine answers KindNack feedback from this history — the
 // retransmission path never re-enters the chain, so repairs reach only the
 // receiver that asked (unicast), exactly as the paper's ARQ baseline does.
-// The hot path adds one mutex-guarded pointer store per data packet; history
-// eviction is implicit in the ring overwrite.
+// The hot path adds one mutex-guarded frame copy per data packet into slot
+// storage reused once warm; history eviction is implicit in the ring
+// overwrite.
 type SenderFilter struct {
-	*filter.Base
+	*filter.Stream
 
 	mu      sync.Mutex
-	ring    []*packet.Packet // ring[seq%len] holds the frame iff .Seq == seq
+	ring    [][]byte // ring[seq%len] holds the frame iff its header says seq
 	tracked uint64
 	served  uint64
 	misses  uint64
@@ -36,34 +37,39 @@ func NewSenderFilter(name string, historyLimit int) *SenderFilter {
 	if historyLimit <= 0 {
 		historyLimit = DefaultHistory
 	}
-	f := &SenderFilter{ring: make([]*packet.Packet, historyLimit)}
-	f.Base = filter.NewPacketFunc(name, func(p *packet.Packet) ([]*packet.Packet, error) {
-		if p.Kind == packet.KindData {
-			f.mu.Lock()
-			f.ring[p.Seq%uint64(len(f.ring))] = p
-			f.tracked++
-			f.mu.Unlock()
-		}
-		return []*packet.Packet{p}, nil
-	}, nil)
+	f := &SenderFilter{ring: make([][]byte, historyLimit)}
+	f.Stream = filter.NewStream(name, f)
 	return f
 }
 
-// Lookup returns the buffered packet for seq, or nil when the history no
-// longer (or never) held it. Ring entries are replaced, never mutated, so the
-// returned packet is safe to read without the filter's lock; callers marshal
-// it themselves, which lets the repair path serialize straight into a pooled
-// wire buffer instead of paying a fresh frame allocation per retransmission.
-func (f *SenderFilter) Lookup(seq uint64) *packet.Packet {
+// Process implements filter.Stage.
+func (f *SenderFilter) Process(b *packet.Buf, emit func(*packet.Buf)) error {
+	if packet.FrameKind(b.B) == packet.KindData {
+		slot := &f.ring[packet.FrameSeq(b.B)%uint64(len(f.ring))]
+		f.mu.Lock()
+		*slot = append((*slot)[:0], b.B...)
+		f.tracked++
+		f.mu.Unlock()
+	}
+	emit(b)
+	return nil
+}
+
+// Frame returns a copy of the buffered frame for seq in a pooled buffer with
+// session-ID headroom (see packet.GetFrameBuf), or nil when the history no
+// longer (or never) held it. The caller owns the buffer.
+func (f *SenderFilter) Frame(seq uint64) *packet.Buf {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	p := f.ring[seq%uint64(len(f.ring))]
-	if p == nil || p.Seq != seq {
+	frame := f.ring[seq%uint64(len(f.ring))]
+	if len(frame) < packet.HeaderSize || packet.FrameSeq(frame) != seq {
 		f.misses++
 		return nil
 	}
 	f.served++
-	return p
+	b := packet.GetFrameBuf(len(frame))
+	copy(b.B, frame)
+	return b
 }
 
 // HistoryLimit returns the ring depth.
@@ -78,18 +84,20 @@ func (f *SenderFilter) Stats() (tracked, served, misses uint64) {
 	return f.tracked, f.served, f.misses
 }
 
-// jitterEntry is one held packet with its release deadline.
+// jitterEntry is one held frame with its sequence number and release
+// deadline (unix nanos).
 type jitterEntry struct {
-	p   *packet.Packet
-	due time.Time
+	b   *packet.Buf
+	seq uint64
+	due int64
 }
 
-// jitterHeap orders held packets by sequence number, so releases are always
-// in-order among buffered packets.
+// jitterHeap orders held frames by sequence number, so releases are always
+// in-order among buffered frames.
 type jitterHeap []jitterEntry
 
 func (h jitterHeap) Len() int            { return len(h) }
-func (h jitterHeap) Less(i, j int) bool  { return h[i].p.Seq < h[j].p.Seq }
+func (h jitterHeap) Less(i, j int) bool  { return h[i].seq < h[j].seq }
 func (h jitterHeap) Swap(i, j int)       { h[i], h[j] = h[j], h[i] }
 func (h *jitterHeap) Push(x interface{}) { *h = append(*h, x.(jitterEntry)) }
 func (h *jitterHeap) Pop() interface{} {
@@ -102,24 +110,23 @@ func (h *jitterHeap) Pop() interface{} {
 }
 
 // JitterFilter is the compose-plane "jitter=<ms>" stage: a reorder/smoothing
-// buffer that holds each data packet for a fixed delay and releases buffered
-// packets in sequence order — the playout-buffer half of the reliability
+// buffer that holds each data frame for a fixed delay and releases buffered
+// frames in sequence order — the playout-buffer half of the reliability
 // spectrum, which gives ARQ repairs a window to slot retransmissions back
 // into sequence before delivery. Non-data frames (parity, control, feedback)
-// pass straight through. A background flusher drains due packets; the
-// packet.Writer serializes its writes with the reader loop's, so frames are
-// never interleaved mid-frame.
+// pass straight through. Due frames leave from Tick; Flush releases the rest
+// in sequence order.
 type JitterFilter struct {
-	*filter.Base
+	*filter.Stream
 	delay time.Duration
 
 	mu       sync.Mutex
 	heap     jitterHeap
-	buffered uint64 // total data packets held
-	released uint64 // total data packets released
+	buffered uint64 // total data frames held
+	released uint64 // total data frames released
 }
 
-// NewJitterFilter returns a smoothing buffer holding data packets for delay
+// NewJitterFilter returns a smoothing buffer holding data frames for delay
 // before releasing them in sequence order (non-positive delays select 1ms).
 func NewJitterFilter(name string, delay time.Duration) *JitterFilter {
 	if name == "" {
@@ -129,100 +136,54 @@ func NewJitterFilter(name string, delay time.Duration) *JitterFilter {
 		delay = time.Millisecond
 	}
 	f := &JitterFilter{delay: delay}
-	f.Base = filter.New(name, func(r io.Reader, w io.Writer) error {
-		pr := packet.NewReader(r)
-		pw := packet.NewWriter(w)
-		done := make(chan struct{})
-		var wg sync.WaitGroup
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			tick := delay / 4
-			if tick <= 0 {
-				tick = time.Millisecond
-			}
-			t := time.NewTicker(tick)
-			defer t.Stop()
-			for {
-				select {
-				case <-done:
-					return
-				case now := <-t.C:
-					for _, p := range f.take(now) {
-						if pw.WritePacket(p) != nil {
-							return
-						}
-					}
-				}
-			}
-		}()
-		defer func() {
-			close(done)
-			wg.Wait()
-		}()
-		for {
-			p, err := pr.ReadPacket()
-			if err != nil {
-				if err == io.EOF {
-					// Flush everything still held, in sequence order.
-					for _, q := range f.drain() {
-						if werr := pw.WritePacket(q); werr != nil {
-							return werr
-						}
-					}
-					return nil
-				}
-				return err
-			}
-			if p.Kind != packet.KindData {
-				if werr := pw.WritePacket(p); werr != nil {
-					return werr
-				}
-				continue
-			}
-			f.hold(p)
-		}
-	})
+	f.Stream = filter.NewStream(name, f)
 	return f
 }
 
-// hold buffers a data packet until its release deadline.
-func (f *JitterFilter) hold(p *packet.Packet) {
+// Process implements filter.Stage.
+func (f *JitterFilter) Process(b *packet.Buf, emit func(*packet.Buf)) error {
+	if packet.FrameKind(b.B) != packet.KindData {
+		emit(b)
+		return nil
+	}
 	f.mu.Lock()
-	heap.Push(&f.heap, jitterEntry{p: p, due: time.Now().Add(f.delay)})
+	heap.Push(&f.heap, jitterEntry{b: b, seq: packet.FrameSeq(b.B), due: time.Now().Add(f.delay).UnixNano()})
 	f.buffered++
 	f.mu.Unlock()
+	return nil
 }
 
-// take pops the due packets in sequence order. Release stops at the first
-// not-yet-due packet so a still-maturing low sequence number is never jumped.
-func (f *JitterFilter) take(now time.Time) []*packet.Packet {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	var out []*packet.Packet
-	for len(f.heap) > 0 && !f.heap[0].due.After(now) {
-		out = append(out, heap.Pop(&f.heap).(jitterEntry).p)
-		f.released++
-	}
-	return out
+// TickPeriod implements filter.Ticker.
+func (f *JitterFilter) TickPeriod() time.Duration { return max(f.delay/4, time.Millisecond) }
+
+// Tick implements filter.Ticker: due frames leave in sequence order. Release
+// stops at the first not-yet-due frame so a still-maturing low sequence
+// number is never jumped.
+func (f *JitterFilter) Tick(now time.Time, emit func(*packet.Buf)) error {
+	f.release(now.UnixNano(), emit)
+	return nil
 }
 
-// drain pops every held packet in sequence order.
-func (f *JitterFilter) drain() []*packet.Packet {
+// Flush implements filter.Flusher: everything still held leaves, in
+// sequence order.
+func (f *JitterFilter) Flush(emit func(*packet.Buf)) error {
+	f.release(math.MaxInt64, emit)
+	return nil
+}
+
+func (f *JitterFilter) release(now int64, emit func(*packet.Buf)) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	out := make([]*packet.Packet, 0, len(f.heap))
-	for len(f.heap) > 0 {
-		out = append(out, heap.Pop(&f.heap).(jitterEntry).p)
+	for len(f.heap) > 0 && f.heap[0].due <= now {
+		emit(heap.Pop(&f.heap).(jitterEntry).b)
 		f.released++
 	}
-	return out
 }
 
 // Delay returns the configured hold time.
 func (f *JitterFilter) Delay() time.Duration { return f.delay }
 
-// Stats returns how many data packets have been buffered and released; the
+// Stats returns how many data frames have been buffered and released; the
 // difference is the current buffer depth.
 func (f *JitterFilter) Stats() (buffered, released uint64) {
 	f.mu.Lock()
@@ -231,6 +192,6 @@ func (f *JitterFilter) Stats() (buffered, released uint64) {
 }
 
 var (
-	_ filter.Filter = (*SenderFilter)(nil)
-	_ filter.Filter = (*JitterFilter)(nil)
+	_ filter.Stage  = (*SenderFilter)(nil)
+	_ filter.Ticker = (*JitterFilter)(nil)
 )

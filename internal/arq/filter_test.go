@@ -67,21 +67,18 @@ func TestSenderFilterRecordsAndRetransmits(t *testing.T) {
 		t.Fatalf("forwarded %d packets, want %d", len(out), len(in))
 	}
 
-	p := f.Lookup(3)
-	if p == nil {
-		t.Fatal("Lookup(3) = nil, want buffered")
+	b := f.Frame(3)
+	if b == nil {
+		t.Fatal("Frame(3) = nil, want buffered")
 	}
-	frame, err := packet.Marshal(p)
-	if err != nil {
-		t.Fatalf("Marshal: %v", err)
-	}
-	rt, _, err := packet.Unmarshal(frame)
-	if err != nil || rt.Seq != 3 || rt.Kind != packet.KindData {
+	rt, _, err := packet.Unmarshal(b.B)
+	b.Release()
+	if err != nil || rt.Seq != 3 || rt.Kind != packet.KindData || rt.Payload[0] != 3 {
 		t.Fatalf("retransmitted frame = %+v, %v", rt, err)
 	}
 	// The parity frame's sequence number was never admitted.
-	if f.Lookup(99) != nil {
-		t.Fatal("Lookup(99) != nil for a non-data sequence")
+	if f.Frame(99) != nil {
+		t.Fatal("Frame(99) != nil for a non-data sequence")
 	}
 	if tracked, served, misses := f.Stats(); tracked != 5 || served != 1 || misses != 1 {
 		t.Fatalf("Stats = (%d, %d, %d), want (5, 1, 1)", tracked, served, misses)
@@ -97,13 +94,13 @@ func TestSenderFilterRingEviction(t *testing.T) {
 	runPackets(t, f, in)
 	// Seqs 0..5 were overwritten by 6..9 in the 4-deep ring.
 	for seq := uint64(0); seq < 6; seq++ {
-		if f.Lookup(seq) != nil {
-			t.Fatalf("Lookup(%d) != nil after eviction", seq)
+		if f.Frame(seq) != nil {
+			t.Fatalf("Frame(%d) != nil after eviction", seq)
 		}
 	}
 	for seq := uint64(6); seq < 10; seq++ {
-		if f.Lookup(seq) == nil {
-			t.Fatalf("Lookup(%d) = nil, want buffered", seq)
+		if f.Frame(seq) == nil {
+			t.Fatalf("Frame(%d) = nil, want buffered", seq)
 		}
 	}
 }

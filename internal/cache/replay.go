@@ -14,10 +14,9 @@ import (
 // a receiver joining a fan-out session mid-stream can be primed with recent
 // history on its delivery branch — the paper's collaborative-session
 // scenario, where a late-joining station must catch up on state it missed.
-// The engine drains Frames() into a freshly created branch before the branch
-// is published to the dispatch path.
+// The engine primes a freshly admitted receiver from VisitFrames.
 type ReplayFilter struct {
-	*filter.Base
+	*filter.Stream
 
 	n int
 
@@ -49,16 +48,18 @@ func NewReplayFilter(name string, n int) (*ReplayFilter, error) {
 		return nil, err
 	}
 	f := &ReplayFilter{n: n, lru: lru, seqs: make([]uint64, n)}
-	f.Base = filter.NewPacketFunc(name, func(p *packet.Packet) ([]*packet.Packet, error) {
-		if p.Kind == packet.KindData {
-			frame, err := packet.Marshal(p)
-			if err == nil {
-				f.admit(p.Seq, frame)
-			}
-		}
-		return []*packet.Packet{p}, nil
-	}, nil)
+	f.Stream = filter.NewStream(name, f)
 	return f, nil
+}
+
+// Process implements filter.Stage: a copy of every data frame is retained,
+// and the frame itself passes on.
+func (f *ReplayFilter) Process(b *packet.Buf, emit func(*packet.Buf)) error {
+	if packet.FrameKind(b.B) == packet.KindData {
+		f.admit(packet.FrameSeq(b.B), append([]byte(nil), b.B...))
+	}
+	emit(b)
+	return nil
 }
 
 // admit stores one marshaled data frame, evicting the oldest when the ring
@@ -131,4 +132,4 @@ func (f *ReplayFilter) Stats() (admitted uint64, retained int, primes uint64) {
 // Cache exposes the underlying LRU for statistics.
 func (f *ReplayFilter) Cache() *LRU { return f.lru }
 
-var _ filter.Filter = (*ReplayFilter)(nil)
+var _ filter.Stage = (*ReplayFilter)(nil)

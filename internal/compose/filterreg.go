@@ -42,9 +42,9 @@ var (
 // NewFilterRegistry adapts a compose registry into a filter.Registry, the
 // spec-map form the legacy single-stream control path (core.Proxy, OpInsert
 // with a filter.Spec) instantiates filters through. Every buildable compose
-// kind is registered once — the same definitions the engine composes session
-// chains from, so the two paths can never drift — plus the historical alias
-// names. The stage argument is taken from the spec's "arg" parameter, with
+// kind is registered once — the same stage definitions the engine runs
+// inline, hosted on detachable streams through filter.Stream, so the two
+// paths can never drift — plus the historical alias names. The stage argument is taken from the spec's "arg" parameter, with
 // the old dedicated keys (bps, ms, factor, level, nk) still honored.
 func NewFilterRegistry(reg *Registry, env Env) *filter.Registry {
 	if reg == nil {
@@ -64,7 +64,14 @@ func NewFilterRegistry(reg *Registry, env Env) *filter.Registry {
 				instance := s.Name
 				e.Name = func(string) string { return instance }
 			}
-			return def.Build(e, canon)
+			st, err := def.Build(e, canon)
+			if err != nil {
+				return nil, err
+			}
+			if f, ok := st.(filter.Filter); ok {
+				return f, nil // the stage embeds its own filter.Stream
+			}
+			return filter.NewStream(st.Name(), st), nil
 		})
 	}
 	for _, kind := range reg.Kinds() {

@@ -1,135 +1,94 @@
 package compose
 
 import (
-	"bytes"
 	"errors"
-	"io"
 	"sync"
 	"testing"
-	"time"
 
 	"rapidware/internal/filter"
+	"rapidware/internal/packet"
 )
 
-// byteSource produces payload into the chain in small paced chunks; capture
-// collects whatever reaches the far endpoint. After the payload is written
-// the source parks on its (never-written) input until the chain stops, so
-// live recompositions keep finding a running chain.
-func byteSource(payload []byte) *filter.Base {
-	return filter.New("src", func(r io.Reader, w io.Writer) error {
-		for off := 0; off < len(payload); off += 256 {
-			end := off + 256
-			if end > len(payload) {
-				end = len(payload)
-			}
-			if _, err := w.Write(payload[off:end]); err != nil {
-				return err
-			}
-			time.Sleep(50 * time.Microsecond)
-		}
-		var park [1]byte
-		for {
-			if _, err := r.Read(park[:]); err != nil {
-				return nil
-			}
-		}
-	})
-}
-
+// capture is a Live's sink: it records the sequence numbers of the frames
+// the stage slice emits.
 type capture struct {
-	*filter.Base
-	mu  sync.Mutex
-	buf bytes.Buffer
+	mu   sync.Mutex
+	seqs []uint64
 }
 
-func newCapture() *capture {
-	c := &capture{}
-	c.Base = filter.New("dst", func(r io.Reader, _ io.Writer) error {
-		tmp := make([]byte, 4096)
-		for {
-			n, err := r.Read(tmp)
-			if n > 0 {
-				c.mu.Lock()
-				c.buf.Write(tmp[:n])
-				c.mu.Unlock()
-			}
-			if err != nil {
-				return err
-			}
-		}
-	})
-	return c
+func (c *capture) sink(b *packet.Buf) {
+	c.mu.Lock()
+	c.seqs = append(c.seqs, packet.FrameSeq(b.B))
+	c.mu.Unlock()
+	b.Release()
 }
 
-func (c *capture) wait(t *testing.T, want int) []byte {
+// newLive builds a Live over the given plan whose output lands in a capture.
+func newLive(t *testing.T, mode Mode, spec string) (*Live, *capture) {
 	t.Helper()
-	deadline := time.Now().Add(5 * time.Second)
-	for time.Now().Before(deadline) {
-		c.mu.Lock()
-		n := c.buf.Len()
-		c.mu.Unlock()
-		if n >= want {
-			c.mu.Lock()
-			defer c.mu.Unlock()
-			return append([]byte(nil), c.buf.Bytes()...)
-		}
-		time.Sleep(time.Millisecond)
-	}
-	t.Fatalf("capture got %d bytes, want %d", c.buf.Len(), want)
-	return nil
-}
-
-// newLiveChain builds a started endpoint pair with the given plan attached.
-func newLiveChain(t *testing.T, payload []byte, mode Mode, spec string) (*Live, *capture) {
-	t.Helper()
-	chain := filter.NewChain("live-test")
-	dst := newCapture()
-	if err := chain.Append(byteSource(payload)); err != nil {
-		t.Fatal(err)
-	}
-	if err := chain.Append(dst); err != nil {
-		t.Fatal(err)
-	}
 	plan, err := Parse(spec, mode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	live, err := Attach(chain, Default(), Env{StreamID: 7}, mode, plan)
+	c := &capture{}
+	live, err := New(Default(), Env{StreamID: 7}, mode, plan, c.sink)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := chain.Start(); err != nil {
-		t.Fatal(err)
+	return live, c
+}
+
+// feed runs data frames seq from..to-1 through the live stage slice.
+func feed(t *testing.T, live *Live, from, to uint64) {
+	t.Helper()
+	for seq := from; seq < to; seq++ {
+		b := packet.GetFrameBuf(packet.HeaderSize + 16)
+		frame, err := packet.AppendFrame(b.B[:0], &packet.Packet{Seq: seq, Kind: packet.KindData, Payload: make([]byte, 16)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.B = frame
+		if err := live.Process(b); err != nil {
+			t.Fatalf("Process(%d): %v", seq, err)
+		}
 	}
-	t.Cleanup(func() { chain.Stop() })
-	return live, dst
+}
+
+// expectSeqs checks the capture holds exactly 0..n-1, in order.
+func (c *capture) expectSeqs(t *testing.T, n int) {
+	t.Helper()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if len(c.seqs) != n {
+		t.Fatalf("captured %d frames, want %d", len(c.seqs), n)
+	}
+	for i, seq := range c.seqs {
+		if seq != uint64(i) {
+			t.Fatalf("frame %d has seq %d", i, seq)
+		}
+	}
 }
 
 func TestLiveAttachBuildsPlan(t *testing.T) {
-	payload := bytes.Repeat([]byte("abc"), 1000)
-	live, dst := newLiveChain(t, payload, ModeChain, "counting,checksum")
+	live, dst := newLive(t, ModeChain, "counting,checksum")
 	if got := live.String(); got != "counting,checksum" {
 		t.Fatalf("live plan = %q", got)
 	}
-	if got := live.Chain().Names(); len(got) != 4 {
-		t.Fatalf("chain names = %v", got)
-	}
-	if !bytes.Equal(dst.wait(t, len(payload)), payload) {
-		t.Fatal("payload corrupted through attached plan")
-	}
+	feed(t, live, 0, 100)
+	dst.expectSeqs(t, 100)
 	stats := live.StageStats()
 	if len(stats) != 2 || stats[0].Kind != "counting" || !stats[0].Active {
 		t.Fatalf("stage stats = %+v", stats)
 	}
-	if stats[0].InBytes < uint64(len(payload)) || stats[0].OutBytes < uint64(len(payload)) {
-		t.Fatalf("stage IO counters = %+v", stats[0])
+	want := uint64(100 * (packet.HeaderSize + 16))
+	if stats[0].InBytes != want || stats[0].OutBytes != want || stats[1].OutBytes != want {
+		t.Fatalf("stage IO counters = %+v, want %d each", stats, want)
 	}
 }
 
 func TestLiveRecomposeReusesMatchingInstances(t *testing.T) {
-	payload := bytes.Repeat([]byte{0x5A}, 1<<18)
-	live, dst := newLiveChain(t, payload, ModeChain, "counting")
-	dst.wait(t, 512)
+	live, dst := newLive(t, ModeChain, "counting")
+	feed(t, live, 0, 10)
 
 	before := live.Instance("counting")
 	if before == nil {
@@ -148,9 +107,10 @@ func TestLiveRecomposeReusesMatchingInstances(t *testing.T) {
 	if live.Instance("counting") != before {
 		t.Fatal("matching stage did not keep its instance across recompose")
 	}
-	// Back to a single stage: the counting instance survives again, the rest
-	// stop.
-	chk := live.Instance("checksum")
+	feed(t, live, 10, 20)
+	// Back to a single stage: the counting instance survives again, and the
+	// removed checksum stage sees nothing after the swap.
+	chk := live.Instance("checksum").(*filter.ChecksumStage)
 	target, err = Parse("counting", ModeChain)
 	if err != nil {
 		t.Fatal(err)
@@ -161,16 +121,19 @@ func TestLiveRecomposeReusesMatchingInstances(t *testing.T) {
 	if live.Instance("counting") != before {
 		t.Fatal("instance lost on shrink")
 	}
-	if chk.Running() {
-		t.Fatal("removed stage still running")
+	_, n := chk.Sum()
+	feed(t, live, 20, 30)
+	if _, after := chk.Sum(); after != n {
+		t.Fatal("removed stage still ran frames")
 	}
-	if cf, ok := before.(*filter.CountingFilter); !ok || cf.Bytes() == 0 {
+	if cs, ok := before.(*filter.CountingStage); !ok || cs.Frames() != 30 {
 		t.Fatal("kept instance lost its counters")
 	}
+	dst.expectSeqs(t, 30)
 }
 
 func TestLiveRecomposeRejectsInvalidPlan(t *testing.T) {
-	live, _ := newLiveChain(t, []byte("x"), ModeChain, "null")
+	live, _ := newLive(t, ModeChain, "null")
 	bad := Plan{Stages: []Stage{{Kind: KindFECAdapt}}}
 	if err := live.Recompose(bad); err == nil {
 		t.Fatal("chain-mode live accepted a marker stage")
@@ -181,14 +144,15 @@ func TestLiveRecomposeRejectsInvalidPlan(t *testing.T) {
 }
 
 func TestLivePlanEditOperations(t *testing.T) {
-	payload := bytes.Repeat([]byte("z"), 1<<16)
-	live, dst := newLiveChain(t, payload, ModeChain, "counting")
+	live, dst := newLive(t, ModeChain, "counting")
+	feed(t, live, 0, 10)
 	if err := live.InsertStage(Stage{Kind: "checksum"}, 1); err != nil {
 		t.Fatal(err)
 	}
 	if live.String() != "counting,checksum" {
 		t.Fatalf("after insert: %q", live.String())
 	}
+	feed(t, live, 10, 20)
 	if err := live.MoveStage(1, 0); err != nil {
 		t.Fatal(err)
 	}
@@ -198,6 +162,7 @@ func TestLivePlanEditOperations(t *testing.T) {
 	if err := live.RemoveStageKind("checksum"); err != nil {
 		t.Fatal(err)
 	}
+	feed(t, live, 20, 30)
 	if err := live.RemoveStageAt(0); err != nil {
 		t.Fatal(err)
 	}
@@ -207,32 +172,29 @@ func TestLivePlanEditOperations(t *testing.T) {
 	if err := live.RemoveStageKind("counting"); !errors.Is(err, ErrNoStage) {
 		t.Fatalf("removing a missing kind = %v, want ErrNoStage", err)
 	}
-	if !bytes.Equal(dst.wait(t, len(payload)), payload) {
-		t.Fatal("payload corrupted across plan edits")
-	}
+	feed(t, live, 30, 40)
+	dst.expectSeqs(t, 40)
 }
 
 func TestLiveMarkerActivateDeactivate(t *testing.T) {
-	payload := bytes.Repeat([]byte("m"), 1<<16)
-	live, dst := newLiveChain(t, payload, ModeBranch, "fec-adapt,counting")
+	live, dst := newLive(t, ModeBranch, "fec-adapt,counting")
 	if live.Instance(KindFECAdapt) != nil {
 		t.Fatal("marker active before activation")
-	}
-	if !live.HasMarker(KindFECAdapt) {
-		t.Fatal("marker not found")
 	}
 	stats := live.StageStats()
 	if len(stats) != 2 || stats[0].Active || stats[0].Name != "" {
 		t.Fatalf("idle marker stats = %+v", stats[0])
 	}
-	enc := filter.NewNull("managed-encoder")
+	feed(t, live, 0, 10)
+	enc := filter.NewCountingStage("managed-encoder")
 	if err := live.Activate(KindFECAdapt, enc); err != nil {
 		t.Fatalf("Activate: %v", err)
 	}
-	if live.Instance(KindFECAdapt) != enc || !enc.Running() {
+	feed(t, live, 10, 20)
+	if live.Instance(KindFECAdapt) != enc || enc.Frames() != 10 {
 		t.Fatal("activated instance not live")
 	}
-	if err := live.Activate(KindFECAdapt, filter.NewNull("second")); !errors.Is(err, ErrMarkerActive) {
+	if err := live.Activate(KindFECAdapt, filter.NewNullStage("second")); !errors.Is(err, ErrMarkerActive) {
 		t.Fatalf("double activate = %v, want ErrMarkerActive", err)
 	}
 	// A recompose that keeps the marker keeps the active instance.
@@ -246,15 +208,15 @@ func TestLiveMarkerActivateDeactivate(t *testing.T) {
 	if live.Instance(KindFECAdapt) != enc {
 		t.Fatal("active marker instance lost across recompose")
 	}
-	removed, err := live.Deactivate(KindFECAdapt)
-	if err != nil || !removed {
-		t.Fatalf("Deactivate = %v/%v", removed, err)
+	if !live.Deactivate(KindFECAdapt) {
+		t.Fatal("Deactivate removed nothing")
 	}
-	if enc.Running() {
+	feed(t, live, 20, 30)
+	if enc.Frames() != 10 {
 		t.Fatal("deactivated instance still running")
 	}
-	if removed, err := live.Deactivate(KindFECAdapt); err != nil || removed {
-		t.Fatalf("second Deactivate = %v/%v, want no-op", removed, err)
+	if live.Deactivate(KindFECAdapt) {
+		t.Fatal("second Deactivate removed an instance, want no-op")
 	}
 	// Recomposing the marker away removes the splice point entirely.
 	target, err = Parse("counting", ModeBranch)
@@ -264,12 +226,10 @@ func TestLiveMarkerActivateDeactivate(t *testing.T) {
 	if err := live.Recompose(target); err != nil {
 		t.Fatal(err)
 	}
-	if err := live.Activate(KindFECAdapt, filter.NewNull("x")); !errors.Is(err, ErrNoStage) {
+	if err := live.Activate(KindFECAdapt, filter.NewNullStage("x")); !errors.Is(err, ErrNoStage) {
 		t.Fatalf("Activate without marker = %v, want ErrNoStage", err)
 	}
-	if !bytes.Equal(dst.wait(t, len(payload)), payload) {
-		t.Fatal("payload corrupted across marker operations")
-	}
+	dst.expectSeqs(t, 30)
 }
 
 func TestNewFilterRegistryAdaptsComposeKinds(t *testing.T) {
@@ -333,5 +293,44 @@ func TestNewFilterRegistryAdaptsComposeKinds(t *testing.T) {
 	}
 	if _, err := fr.Build(filter.Spec{Kind: "ratelimit", Params: map[string]string{"bps": "-1"}}); err == nil {
 		t.Fatal("invalid legacy param accepted")
+	}
+}
+
+// TestLiveRecomposeUnderSustainedTraffic rewrites the plan over and over
+// while another goroutine runs frames through it: every frame leaves exactly
+// once and in order, and a stage swapped out never sees another frame.
+func TestLiveRecomposeUnderSustainedTraffic(t *testing.T) {
+	live, dst := newLive(t, ModeChain, "counting")
+	const frames = 20000
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		feed(t, live, 0, frames)
+	}()
+	specs := []string{"counting,checksum", "null,counting", "checksum", "", "counting,null,checksum"}
+	for i := 0; ; i++ {
+		select {
+		case <-done:
+			dst.expectSeqs(t, frames)
+			return
+		default:
+		}
+		gone, _ := live.Instance("checksum").(*filter.ChecksumStage)
+		target, err := Parse(specs[i%len(specs)], ModeChain)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := live.Recompose(target); err != nil {
+			t.Fatal(err)
+		}
+		if gone == nil || live.Instance("checksum") != nil {
+			continue
+		}
+		_, n := gone.Sum()
+		for j := 0; j < 100; j++ {
+			if _, m := gone.Sum(); m != n {
+				t.Fatalf("checksum stage ran a frame after it was swapped out (%d -> %d bytes)", n, m)
+			}
+		}
 	}
 }

@@ -6,10 +6,10 @@
 // A Plan is an ordered list of stage specs — the paper's "composition of
 // proxylets" lifted into a first-class value. The engine's trunk chains,
 // its per-receiver delivery-branch tails and the legacy single-stream proxy
-// all build their interiors from plans, and a Live wraps a running chain so
-// the whole composition can be rewritten transactionally while traffic
-// flows: the control plane's recompose operation and the adaptation plane's
-// responder splices are both plan rewrites applied under one splice lock.
+// all build their stages from plans, and a Live runs a plan's stage slice so
+// the whole composition can be rewritten while traffic flows: the control
+// plane's recompose operation and the adaptation plane's marker splices are
+// both plan rewrites, each swapping in a new slice between two frames.
 package compose
 
 import (

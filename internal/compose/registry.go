@@ -50,7 +50,7 @@ type Definition struct {
 	// Plan.String prints). nil accepts any argument verbatim (trimmed).
 	Canon func(arg string) (string, error)
 	// Build instantiates the stage. nil is only legal for marker kinds.
-	Build func(env Env, arg string) (filter.Filter, error)
+	Build func(env Env, arg string) (filter.Stage, error)
 	// Marker marks a position-only pseudo-stage (fec-adapt): it reserves a
 	// plan position for an instance that an adaptation responder activates
 	// and deactivates at run time.
@@ -190,7 +190,7 @@ func (r *Registry) Validate(p Plan, mode Mode) error {
 
 // Build instantiates the stage through its registered builder. Marker stages
 // have no builder; their instances come from the adaptation plane.
-func (r *Registry) Build(env Env, st Stage) (filter.Filter, error) {
+func (r *Registry) Build(env Env, st Stage) (filter.Stage, error) {
 	d, ok := r.Lookup(st.Kind)
 	if !ok {
 		return nil, fmt.Errorf("compose: unknown chain stage %q", st.Kind)
@@ -224,11 +224,15 @@ func Default() *Registry {
 // The chain spec language. A spec is a comma-separated list of stages
 // instantiated in order between a chain's endpoints:
 //
-//	null                  identity filter
-//	counting              pass-through byte/chunk counter
+//	null                  identity stage
+//	counting              pass-through byte/frame counter
 //	checksum              pass-through CRC-32
-//	delay=<duration>      fixed per-chunk delay (e.g. delay=5ms)
-//	ratelimit=<Bps>       token-bucket shaping to Bps bytes/second
+//	delay=<duration>      hold every frame for a fixed delay (e.g. delay=5ms);
+//	                      frames leave in order, each between d and d+max(d/4,1ms)
+//	                      after it arrived
+//	ratelimit=<Bps>       token-bucket shaping to Bps bytes/second, refilled
+//	                      every 10ms; frames wait in order, and beyond one
+//	                      second of backlog they are shed
 //	transcode=<factor>    audio downsampler (paper PCM format, e.g. transcode=2)
 //	thin=<factor>         media thinning: forward 1 data packet in <factor>
 //	mono                  stereo -> mono mixdown (paper PCM format)
@@ -258,22 +262,22 @@ func newDefaultRegistry() *Registry {
 	must(r.Register(Definition{
 		Kind:  "null",
 		Canon: noArg,
-		Build: func(env Env, _ string) (filter.Filter, error) {
-			return filter.NewNull(env.StageName("null")), nil
+		Build: func(env Env, _ string) (filter.Stage, error) {
+			return filter.NewNullStage(env.StageName("null")), nil
 		},
 	}))
 	must(r.Register(Definition{
 		Kind:  "counting",
 		Canon: noArg,
-		Build: func(env Env, _ string) (filter.Filter, error) {
-			return filter.NewCounting(env.StageName("counting")), nil
+		Build: func(env Env, _ string) (filter.Stage, error) {
+			return filter.NewCountingStage(env.StageName("counting")), nil
 		},
 	}))
 	must(r.Register(Definition{
 		Kind:  "checksum",
 		Canon: noArg,
-		Build: func(env Env, _ string) (filter.Filter, error) {
-			return filter.NewChecksum(env.StageName("checksum")), nil
+		Build: func(env Env, _ string) (filter.Stage, error) {
+			return filter.NewChecksumStage(env.StageName("checksum")), nil
 		},
 	}))
 	must(r.Register(Definition{
@@ -285,12 +289,12 @@ func newDefaultRegistry() *Registry {
 			}
 			return d.String(), nil
 		},
-		Build: func(env Env, arg string) (filter.Filter, error) {
+		Build: func(env Env, arg string) (filter.Stage, error) {
 			d, err := time.ParseDuration(arg)
 			if err != nil {
 				return nil, err
 			}
-			return filter.NewDelay(env.StageName("delay"), d), nil
+			return filter.NewDelayStage(env.StageName("delay"), d), nil
 		},
 	}))
 	must(r.Register(Definition{
@@ -302,18 +306,18 @@ func newDefaultRegistry() *Registry {
 			}
 			return strconv.Itoa(bps), nil
 		},
-		Build: func(env Env, arg string) (filter.Filter, error) {
+		Build: func(env Env, arg string) (filter.Stage, error) {
 			bps, err := strconv.Atoi(arg)
 			if err != nil {
 				return nil, err
 			}
-			return filter.NewRateLimit(env.StageName("ratelimit"), bps), nil
+			return filter.NewRateLimitStage(env.StageName("ratelimit"), bps), nil
 		},
 	}))
 	must(r.Register(Definition{
 		Kind:  "transcode",
 		Canon: canonFactor("transcode"),
-		Build: func(env Env, arg string) (filter.Filter, error) {
+		Build: func(env Env, arg string) (filter.Stage, error) {
 			factor, err := strconv.Atoi(arg)
 			if err != nil {
 				return nil, err
@@ -324,7 +328,7 @@ func newDefaultRegistry() *Registry {
 	must(r.Register(Definition{
 		Kind:  "thin",
 		Canon: canonFactor("thin"),
-		Build: func(env Env, arg string) (filter.Filter, error) {
+		Build: func(env Env, arg string) (filter.Stage, error) {
 			factor, err := strconv.Atoi(arg)
 			if err != nil {
 				return nil, err
@@ -335,7 +339,7 @@ func newDefaultRegistry() *Registry {
 	must(r.Register(Definition{
 		Kind:  "mono",
 		Canon: noArg,
-		Build: func(env Env, _ string) (filter.Filter, error) {
+		Build: func(env Env, _ string) (filter.Stage, error) {
 			return transcode.NewMonoFilter(env.StageName("mono"), audio.PaperFormat())
 		},
 	}))
@@ -351,7 +355,7 @@ func newDefaultRegistry() *Registry {
 			}
 			return strconv.Itoa(level), nil
 		},
-		Build: func(env Env, arg string) (filter.Filter, error) {
+		Build: func(env Env, arg string) (filter.Stage, error) {
 			level := flate.DefaultCompression
 			if arg != "" {
 				var err error
@@ -365,7 +369,7 @@ func newDefaultRegistry() *Registry {
 	must(r.Register(Definition{
 		Kind:  "decompress",
 		Canon: noArg,
-		Build: func(env Env, _ string) (filter.Filter, error) {
+		Build: func(env Env, _ string) (filter.Stage, error) {
 			return transcode.NewDecompressFilter(env.StageName("decompress")), nil
 		},
 	}))
@@ -378,7 +382,7 @@ func newDefaultRegistry() *Registry {
 			}
 			return fmt.Sprintf("%d/%d", p.N, p.K), nil
 		},
-		Build: func(env Env, arg string) (filter.Filter, error) {
+		Build: func(env Env, arg string) (filter.Stage, error) {
 			p, err := parseFECParams(arg)
 			if err != nil {
 				return nil, err
@@ -390,7 +394,7 @@ func newDefaultRegistry() *Registry {
 		Kind:      "fec-decode",
 		Canon:     noArg,
 		ChainOnly: true,
-		Build: func(env Env, _ string) (filter.Filter, error) {
+		Build: func(env Env, _ string) (filter.Stage, error) {
 			df := fecproxy.NewDecoderFilter(env.StageName("fec-decoder"), nil)
 			if env.OnRepairs != nil {
 				env.OnRepairs(func() uint64 {
@@ -413,7 +417,7 @@ func newDefaultRegistry() *Registry {
 			}
 			return strconv.Itoa(limit), nil
 		},
-		Build: func(env Env, arg string) (filter.Filter, error) {
+		Build: func(env Env, arg string) (filter.Stage, error) {
 			limit := 0
 			if arg != "" {
 				var err error
@@ -433,7 +437,7 @@ func newDefaultRegistry() *Registry {
 			}
 			return strconv.Itoa(ms), nil
 		},
-		Build: func(env Env, arg string) (filter.Filter, error) {
+		Build: func(env Env, arg string) (filter.Stage, error) {
 			ms, err := strconv.Atoi(arg)
 			if err != nil {
 				return nil, err
@@ -450,7 +454,7 @@ func newDefaultRegistry() *Registry {
 			}
 			return strconv.Itoa(n), nil
 		},
-		Build: func(env Env, arg string) (filter.Filter, error) {
+		Build: func(env Env, arg string) (filter.Stage, error) {
 			n, err := strconv.Atoi(arg)
 			if err != nil {
 				return nil, err

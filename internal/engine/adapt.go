@@ -29,7 +29,7 @@ import (
 // fec-adapt marker is reconciled in place), the receiver's delivery cohort on
 // fan-out sessions (a membership move). A loop sits in the queue at most once,
 // so nothing is dropped and only the newest decision is applied; applies stay
-// off the readers because a trunk splice waits for stage quiescence.
+// off the readers because they build stages (FEC coders, cohort slices).
 
 // decision is one repair choice for one receiver: the mechanism and code the
 // policy decided, and the loss it decided them from.
@@ -264,7 +264,7 @@ func (l *receiverLoop) record(d decision, changed, active bool) {
 }
 
 // applyTrunk reconciles the trunk's fec-adapt marker with a decision, as plan
-// operations on the Live under its splice lock. It is driven by what occupies
+// operations on the Live. It is driven by what occupies
 // the marker, never by comparing decisions, so an always-on policy gets its
 // encoder on the prime and a mechanism change swaps the occupant:
 //
@@ -284,7 +284,7 @@ func (l *receiverLoop) applyTrunk(d decision) error {
 	var err error
 	switch d.mech {
 	case adapt.MechanismNone:
-		changed, err = live.Deactivate(compose.KindFECAdapt)
+		changed = live.Deactivate(compose.KindFECAdapt)
 	case adapt.MechanismARQ:
 		if _, ok := live.Instance(compose.KindFECAdapt).(*arq.SenderFilter); !ok {
 			changed, err = swapMarker(live, arq.NewSenderFilter(fmt.Sprintf("adapt-arq:%d", s.id), 0))
@@ -309,13 +309,11 @@ func (l *receiverLoop) applyTrunk(d decision) error {
 	return nil
 }
 
-// swapMarker replaces whatever occupies the fec-adapt marker with f. A plan
+// swapMarker replaces whatever occupies the fec-adapt marker with st. A plan
 // without the marker is not an error: it reports no change.
-func swapMarker(live *compose.Live, f filter.Filter) (bool, error) {
-	if _, err := live.Deactivate(compose.KindFECAdapt); err != nil {
-		return false, err
-	}
-	err := live.Activate(compose.KindFECAdapt, f)
+func swapMarker(live *compose.Live, st filter.Stage) (bool, error) {
+	live.Deactivate(compose.KindFECAdapt)
+	err := live.Activate(compose.KindFECAdapt, st)
 	if errors.Is(err, compose.ErrNoStage) {
 		return false, nil
 	}

@@ -557,13 +557,16 @@ func TestEngineAlwaysOnPolicyEngagesImmediately(t *testing.T) {
 // testPeer is the first-sender address sessions opened directly by tests pin.
 var testPeer = netip.MustParseAddrPort("127.0.0.1:9")
 
-// openTrunk opens session id as the read loop would on its first datagram,
-// without sending one.
+// openTrunk opens session id as the read loop would on its first datagram
+// and builds its incarnation, without sending one.
 func openTrunk(t *testing.T, e *Engine, id uint32) *Session {
 	t.Helper()
 	s, err := e.openSession(id, testPeer)
 	if err != nil {
 		t.Fatalf("openSession(%d): %v", id, err)
+	}
+	if _, err := s.unpark(); err != nil {
+		t.Fatalf("build session %d: %v", id, err)
 	}
 	return s
 }
@@ -583,22 +586,21 @@ func applyReport(e *Engine, s *Session, rep packet.Report) *metrics.AdaptStats {
 func TestEngineTrunkLoopLifecycle(t *testing.T) {
 	e := newTestEngine(t, Config{Adapt: true})
 	s := openTrunk(t, e, 7)
-	chain := s.Chain()
 	marker := func() any { return s.Live().Instance(compose.KindFECAdapt) }
-	if st := s.Stats().Adapt; st.Active || st.N != 1 || st.K != 1 || st.Retunes != 0 || chain.Len() != 2 {
-		t.Fatalf("initial state %+v (chain %d stages)", st, chain.Len())
+	if st := s.Stats().Adapt; st.Active || st.N != 1 || st.K != 1 || st.Retunes != 0 || liveStages(s) != 0 {
+		t.Fatalf("initial state %+v (chain %d stages)", st, liveStages(s))
 	}
 
 	// 10% loss splices the adaptive encoder in at the (8,4) level.
 	st := applyReport(e, s, packet.Report{Received: 90, Lost: 10, Window: 100})
 	enc, ok := marker().(*fecproxy.AdaptiveEncoderFilter)
-	if !ok || !st.Active || st.Mechanism != "fec" || st.N != 8 || st.K != 4 || st.Retunes != 1 || chain.Len() != 3 {
-		t.Fatalf("after 10%% loss: %+v (chain %d stages)", st, chain.Len())
+	if !ok || !st.Active || st.Mechanism != "fec" || st.N != 8 || st.K != 4 || st.Retunes != 1 || liveStages(s) != 1 {
+		t.Fatalf("after 10%% loss: %+v (chain %d stages)", st, liveStages(s))
 	}
 
 	// A rung change between FEC levels retunes the running encoder in place.
 	st = applyReport(e, s, packet.Report{Received: 70, Lost: 30, Window: 100})
-	if marker() != enc || st.N != 12 || st.Retunes != 2 || chain.Len() != 3 {
+	if marker() != enc || st.N != 12 || st.Retunes != 2 || liveStages(s) != 1 {
 		t.Fatalf("after 30%% loss: %+v, encoder replaced %v", st, marker() != enc)
 	}
 
@@ -610,7 +612,7 @@ func TestEngineTrunkLoopLifecycle(t *testing.T) {
 
 	// Low loss over a slow feedback path swaps the encoder for an ARQ history.
 	st = applyReport(e, s, packet.Report{Received: 98, Lost: 2, Window: 100, RTTMillis: 200})
-	if _, ok := marker().(*arq.SenderFilter); !ok || !st.Active || st.Mechanism != "arq" || st.Retunes != 3 || chain.Len() != 3 {
+	if _, ok := marker().(*arq.SenderFilter); !ok || !st.Active || st.Mechanism != "arq" || st.Retunes != 3 || liveStages(s) != 1 {
 		t.Fatalf("after slow low loss: %+v", st)
 	}
 
@@ -622,13 +624,13 @@ func TestEngineTrunkLoopLifecycle(t *testing.T) {
 
 	// A clean link splices the repair stage out.
 	st = applyReport(e, s, packet.Report{Received: 100, Window: 100})
-	if marker() != nil || st.Active || st.Mechanism != "none" || st.N != 1 || st.Retunes != 5 || chain.Len() != 2 {
+	if marker() != nil || st.Active || st.Mechanism != "none" || st.N != 1 || st.Retunes != 5 || liveStages(s) != 0 {
 		t.Fatalf("after a clean link: %+v", st)
 	}
 
 	// Loss returning splices a fresh encoder in again.
 	st = applyReport(e, s, packet.Report{Received: 95, Lost: 5, Window: 100})
-	if !st.Active || st.N != 6 || st.Retunes != 6 || st.Reports != 7 || chain.Len() != 3 {
+	if !st.Active || st.N != 6 || st.Retunes != 6 || st.Reports != 7 || liveStages(s) != 1 {
 		t.Fatalf("after loss returned: %+v", st)
 	}
 }
@@ -642,8 +644,8 @@ func TestEngineFECOnlyPolicyPrimesBeforeFirstPacket(t *testing.T) {
 	e := newTestEngine(t, Config{Adapt: true, AdaptPolicy: policy})
 	s := openTrunk(t, e, 9)
 	st := s.Stats().Adapt
-	if !st.Active || st.Mechanism != "fec" || st.N != 8 || st.K != 4 || st.Retunes != 1 || s.Chain().Len() != 3 {
-		t.Fatalf("FEC-only policy at open: %+v (chain %d stages)", st, s.Chain().Len())
+	if !st.Active || st.Mechanism != "fec" || st.N != 8 || st.K != 4 || st.Retunes != 1 || liveStages(s) != 1 {
+		t.Fatalf("FEC-only policy at open: %+v (chain %d stages)", st, liveStages(s))
 	}
 	if n := s.Counters().Packets.Load(); n != 0 {
 		t.Fatalf("session carried %d packets before the check", n)
@@ -666,8 +668,7 @@ func TestEngineAdaptRejectsInvalidPolicy(t *testing.T) {
 func TestEngineTrunkLoopDormantWithoutMarker(t *testing.T) {
 	e := newTestEngine(t, Config{Adapt: true, Chain: "counting"})
 	s := openTrunk(t, e, 8)
-	chain := s.Chain()
-	if st := applyReport(e, s, packet.Report{Received: 90, Lost: 10, Window: 100}); !st.Active || chain.Len() != 4 {
+	if st := applyReport(e, s, packet.Report{Received: 90, Lost: 10, Window: 100}); !st.Active || liveStages(s) != 2 {
 		t.Fatalf("encoder not spliced before the recompose: %+v", st)
 	}
 
@@ -675,21 +676,21 @@ func TestEngineTrunkLoopDormantWithoutMarker(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.maintain(time.Now())
-	if st := s.Stats().Adapt; st.Active || chain.Len() != 3 {
-		t.Fatalf("recompose kept the encoder: %+v (chain %d stages)", st, chain.Len())
+	if st := s.Stats().Adapt; st.Active || liveStages(s) != 1 {
+		t.Fatalf("recompose kept the encoder: %+v (chain %d stages)", st, liveStages(s))
 	}
 	// Reports are decided and recorded but splice nothing.
 	st := applyReport(e, s, packet.Report{Received: 70, Lost: 30, Window: 100})
-	if st.Active || st.N != 12 || st.Retunes != 1 || chain.Len() != 3 {
-		t.Fatalf("dormant loop: %+v (chain %d stages)", st, chain.Len())
+	if st.Active || st.N != 12 || st.Retunes != 1 || liveStages(s) != 1 {
+		t.Fatalf("dormant loop: %+v (chain %d stages)", st, liveStages(s))
 	}
 
 	if _, err := e.RecomposeSession(8, "", "fec-adapt,counting"); err != nil {
 		t.Fatal(err)
 	}
 	e.maintain(time.Now())
-	if st := s.Stats().Adapt; !st.Active || st.N != 12 || st.Retunes != 2 || chain.Len() != 4 {
-		t.Fatalf("loop did not resume when the marker returned: %+v (chain %d stages)", st, chain.Len())
+	if st := s.Stats().Adapt; !st.Active || st.N != 12 || st.Retunes != 2 || liveStages(s) != 2 {
+		t.Fatalf("loop did not resume when the marker returned: %+v (chain %d stages)", st, liveStages(s))
 	}
 }
 

@@ -3,7 +3,6 @@ package engine
 import (
 	"encoding/binary"
 	"fmt"
-	"io"
 	"net/netip"
 	"sort"
 	"sync"
@@ -13,7 +12,6 @@ import (
 	"rapidware/internal/arq"
 	"rapidware/internal/cache"
 	"rapidware/internal/compose"
-	"rapidware/internal/endpoint"
 	"rapidware/internal/fec"
 	"rapidware/internal/fecproxy"
 	"rapidware/internal/filter"
@@ -79,8 +77,8 @@ const (
 	fenceUnsealed = int64(1) << 62
 	// fenceCanceled retires a fade whose receiver left the group entirely.
 	fenceCanceled = -(int64(1) << 62)
-	// sealStream/sealGroup tag seal-marker control frames so the cohort sink
-	// can recognize its own markers. A client deliberately crafting a
+	// sealStream/sealGroup tag seal-marker control frames so the cohort's
+	// send can recognize its own markers. A client deliberately crafting a
 	// KindControl frame with both values could seal a fence early; the blast
 	// radius is a few misrouted frames for a receiver that is mid-migration
 	// at that instant, never a crash or a stall.
@@ -127,24 +125,23 @@ type cohortView struct {
 	fades   []*fadeTarget
 }
 
-// cohort is one shared delivery tail: either a running filter chain (with the
-// protection level's repair stage spliced at the fec-adapt marker) whose
-// output fans to every member, or — for the empty effective tail — the
-// bypass lane, which has no chain at all and forwards teed trunk frames
-// directly into the shard writer's batch.
+// cohort is one shared delivery tail: either a stage slice run by the
+// cohort's worker (with the protection level's repair stage activated at the
+// fec-adapt marker) whose output fans to every member, or — for the empty
+// effective tail — the bypass lane, which has no stages at all and forwards
+// teed trunk frames directly into the shard writer's batch.
 type cohort struct {
 	key    string
 	serial uint64
 	tree   *deliveryTree
 	bypass bool
 
-	// Chain-cohort machinery; all nil for the bypass cohort.
-	chain  *filter.Chain
+	// Chain-cohort machinery; all nil for the bypass cohort. One worker runs
+	// the queued frames through live; done stops it, exited reports it gone.
 	live   *compose.Live
-	source *endpoint.UDPSource
-	sink   *endpoint.UDPSink
 	in     chan *packet.Buf
 	done   chan struct{}
+	exited chan struct{}
 
 	view atomic.Pointer[cohortView]
 
@@ -227,15 +224,12 @@ func (e *Engine) allMarkers(plan compose.Plan) bool {
 	return true
 }
 
-// dispatch fans one trunk output frame out to every cohort, reconciling
-// membership first if the fan-out group changed. The trunk sink reserved
-// session-ID headroom, so the ID is stamped here — once, on this goroutine,
-// before any cohort can see the buffer — and the whole buffer is one
+// dispatch fans one stamped trunk datagram out to every cohort, reconciling
+// membership first if the fan-out group changed. The whole buffer is one
 // ready-to-send datagram for the bypass lane. dispatch consumes the caller's
-// buffer reference. Called from the trunk sink's goroutine only.
+// buffer reference. Called from the session worker only.
 func (t *deliveryTree) dispatch(b *packet.Buf) {
 	t.reconcile()
-	packet.PutSessionID(b.B, t.s.id)
 	if t.tee.Dispatch(b) == 0 {
 		t.s.counters.Drops.Add(1)
 	}
@@ -244,8 +238,8 @@ func (t *deliveryTree) dispatch(b *packet.Buf) {
 // reconcile aligns the member set with the fan-out group's membership:
 // departed members leave their cohorts (their adaptation loops with them),
 // new members are placed into the cohort their tail plan and initial policy
-// decision select, and the tee's tap list is republished. Runs on the trunk
-// sink goroutine (dispatch) and on the read loop's feedback and NACK paths,
+// decision select, and the tee's tap list is republished. Runs on the session
+// worker (dispatch) and on the read loop's feedback and NACK paths,
 // serialized by t.mu; an unchanged group version returns before the lock, so
 // those callers do not wait behind an adaptation apply holding it.
 func (t *deliveryTree) reconcile() {
@@ -444,57 +438,57 @@ func (t *deliveryTree) newCohortLocked(key string, plan compose.Plan, mech adapt
 		c.bypass = true
 		return c, nil
 	}
-	c.in = make(chan *packet.Buf, e.cfg.QueueDepth)
-	c.done = make(chan struct{})
-	c.chain = filter.NewChain(fmt.Sprintf("session-%d-cohort-%d", s.id, c.serial))
-	c.source = endpoint.NewUDPSourceOffset(fmt.Sprintf("cohort-in:%d:%d", s.id, c.serial), packet.SessionIDSize, c.recv)
-	c.sink = endpoint.NewUDPSink(fmt.Sprintf("cohort-out:%d:%d", s.id, c.serial), packet.SessionIDSize, c.send)
-	if err := c.chain.Append(c.source); err != nil {
-		return nil, err
-	}
-	if err := c.chain.Append(c.sink); err != nil {
-		return nil, err
-	}
 	env := compose.Env{
 		StreamID: s.id,
 		Name:     func(kind string) string { return fmt.Sprintf("%s:%d:c%d", kind, s.id, c.serial) },
 	}
-	live, err := compose.Attach(c.chain, e.reg, env, compose.ModeBranch, plan)
+	live, err := compose.New(e.reg, env, compose.ModeBranch, plan, c.send)
 	if err != nil {
 		return nil, fmt.Errorf("cohort tail: %w", err)
 	}
-	c.live = live
-	// A cohort chain that dies on its own (a tail stage failed) stops
-	// consuming; its queue overflows into the drop counters rather than
-	// stalling the trunk. The closed flag short-circuits deliveries.
-	serial := c.serial
-	c.sink.OnExit(func() {
-		c.closed.Store(true)
-		if err := c.sink.Err(); err != nil {
-			s.shard.counters.chainErrors.Add(1)
-			e.logf("session %d: cohort %d: chain failed: %v", s.id, serial, err)
-		}
-	})
-	if err := c.chain.Start(); err != nil {
-		return nil, fmt.Errorf("cohort start: %w", err)
-	}
 	switch mech {
 	case adapt.MechanismFEC:
-		enc, err := fecproxy.NewEncoderFilter(fmt.Sprintf("fec:%d:c%d", s.id, serial), params, s.id)
+		enc, err := fecproxy.NewEncoderFilter(fmt.Sprintf("fec:%d:c%d", s.id, c.serial), params, s.id)
 		if err == nil {
 			err = live.Activate(compose.KindFECAdapt, enc)
 		}
 		if err != nil {
-			c.stop()
 			return nil, fmt.Errorf("cohort fec: %w", err)
 		}
 	case adapt.MechanismARQ:
-		if err := live.Activate(compose.KindFECAdapt, arq.NewSenderFilter(fmt.Sprintf("arq:%d:c%d", s.id, serial), 0)); err != nil {
-			c.stop()
+		if err := live.Activate(compose.KindFECAdapt, arq.NewSenderFilter(fmt.Sprintf("arq:%d:c%d", s.id, c.serial), 0)); err != nil {
 			return nil, fmt.Errorf("cohort arq: %w", err)
 		}
 	}
+	c.live = live
+	c.in = make(chan *packet.Buf, e.cfg.QueueDepth)
+	c.done = make(chan struct{})
+	c.exited = make(chan struct{})
+	go c.work()
 	return c, nil
+}
+
+// work is the cohort's worker. A cohort whose stages fail stops consuming;
+// its deliveries then count as drops rather than stalling the trunk.
+func (c *cohort) work() {
+	defer close(c.exited)
+	if err := runStages(c.live, c.in, c.done, true, ownFrame); err != nil {
+		c.closed.Store(true)
+		s := c.tree.s
+		s.shard.counters.chainErrors.Add(1)
+		s.eng.logf("session %d: cohort %d: chain failed: %v", s.id, c.serial, err)
+	}
+}
+
+// ownFrame gives a cohort's stages a frame of their own: teed trunk
+// datagrams are shared with sibling cohorts (read-only, behind the trunk's
+// session-ID stamp), and stages may rewrite frames in place, so the frame is
+// copied into a fresh buffer with headroom for the cohort's stamp.
+func ownFrame(b *packet.Buf) *packet.Buf {
+	nb := packet.GetFrameBuf(len(b.B) - packet.SessionIDSize)
+	copy(nb.B, b.B[packet.SessionIDSize:])
+	b.Release()
+	return nb
 }
 
 // tapsLocked builds the tee's tap list: one tap per cohort with at least one
@@ -520,9 +514,9 @@ func (t *deliveryTree) publishTapsLocked() {
 
 // pruneLocked collapses cohorts that no longer serve anyone: no members, and
 // either no live fades or nothing left to drain into them. Stopping a chain
-// cohort flushes whatever is still inside the chain through its sink, so
-// fade targets receive it on the way down; its published view outlives the
-// cohort for outbounds still queued on the shard writer. Caller holds t.mu.
+// cohort runs and flushes whatever it still holds, so fade targets receive
+// it on the way down; its published view outlives the cohort for outbounds
+// still queued on the shard writer. Caller holds t.mu.
 func (t *deliveryTree) pruneLocked() {
 	for key, c := range t.cohorts {
 		if len(c.members) > 0 {
@@ -617,10 +611,11 @@ func (t *deliveryTree) stats() []metrics.ReceiverStats {
 	for _, m := range t.members {
 		st := m.counters.Snapshot(m.ap.String())
 		st.Chain = m.plan.String()
-		if m.cohort != nil && m.cohort.chain != nil {
-			names := m.cohort.chain.Names()
-			if len(names) >= 2 {
-				st.Stages = names[1 : len(names)-1]
+		if m.cohort != nil && m.cohort.live != nil {
+			for _, ss := range m.cohort.live.StageStats() {
+				if ss.Active {
+					st.Stages = append(st.Stages, ss.Name)
+				}
 			}
 		}
 		if l := m.loop; l != nil {
@@ -691,50 +686,26 @@ func (c *cohort) dropFrame(b *packet.Buf) {
 	b.Release()
 }
 
-// recv feeds the cohort source: it blocks for the next teed frame and returns
-// io.EOF once the cohort is collapsed. The frame bytes are shared with
-// sibling cohorts, so the source copies them into the chain from an offset
-// past the trunk's session-ID stamp and releases the shared reference without
-// ever re-slicing b.B.
-func (c *cohort) recv() (*packet.Buf, error) {
-	select {
-	case b := <-c.in:
-		return b, nil
-	case <-c.done:
-		// Retirement closed done, but frames teed in beforehand may still be
-		// queued; prefer draining them so nothing owed to a fade target is
-		// thrown away with the cohort.
-		select {
-		case b := <-c.in:
-			return b, nil
-		default:
-			return nil, io.EOF
-		}
-	}
-}
-
 // send relays one cohort-output frame to every member through the owning
-// shard's batched writer. The sink reserved session-ID headroom, so the ID is
-// stamped in place and the whole buffer is one datagram; the writer fans it
-// to the cohort's current membership at flush time. A seal marker emerging
-// from the chain is consumed here instead: its position locates the handover
-// cut it was enqueued for — behind every pre-cut frame, ahead of every
-// post-cut one — so the matching fences seal at the exact current outbound
-// sequence. send owns b until the enqueue.
-func (c *cohort) send(b *packet.Buf) error {
-	if len(b.B) >= packet.SessionIDSize+packet.HeaderSize &&
-		b.B[packet.SessionIDSize+3] == byte(packet.KindControl) &&
-		binary.BigEndian.Uint32(b.B[packet.SessionIDSize+12:]) == sealStream &&
-		binary.BigEndian.Uint32(b.B[packet.SessionIDSize+16:]) == sealGroup {
+// shard's batched writer: the session ID is stamped and the writer fans the
+// datagram to the cohort's current membership at flush time. A seal marker
+// emerging from the stages is consumed here instead: its position locates
+// the handover cut it was enqueued for — behind every pre-cut frame, ahead of
+// every post-cut one — so the matching fences seal at the exact current
+// outbound sequence. Runs on the cohort worker; send owns b.
+func (c *cohort) send(b *packet.Buf) {
+	if len(b.B) >= packet.HeaderSize &&
+		packet.FrameKind(b.B) == packet.KindControl &&
+		binary.BigEndian.Uint32(b.B[12:]) == sealStream &&
+		binary.BigEndian.Uint32(b.B[16:]) == sealGroup {
 		fence := c.enqueued.Load()
-		c.sealUpTo(binary.BigEndian.Uint64(b.B[packet.SessionIDSize+4:]), fence, fence)
+		c.sealUpTo(packet.FrameSeq(b.B), fence, fence)
 		b.Release()
-		return nil
+		return
 	}
-	packet.PutSessionID(b.B, c.tree.s.id)
+	s := c.tree.s
 	c.enqueued.Add(1)
-	c.tree.s.shard.enqueue(outbound{s: c.tree.s, b: b, grp: c})
-	return nil
+	s.shard.enqueue(outbound{s: s, b: stamp(b, s.id), grp: c})
 }
 
 // dropTargetLocked removes a member from the cohort's fan-out list. Caller
@@ -809,7 +780,7 @@ func (c *cohort) requestSealLocked() {
 // sealUpTo locates every fence cut at or before markerSeq: unsealed fades
 // expire at fadeFence, unsealed gates open at gateFence. Fences cut after the
 // marker keep waiting for their own seal. Runs on the sealing path — the
-// bypass lane's deliver or a chain cohort's sink — against the published
+// bypass lane's deliver or a chain cohort's send — against the published
 // view; fence values are atomic, so the control path never races it.
 func (c *cohort) sealUpTo(markerSeq uint64, fadeFence, gateFence int64) {
 	v := c.view.Load()
@@ -867,24 +838,21 @@ func (c *cohort) publishLocked() {
 	c.view.Store(v)
 }
 
-// stop tears a chain cohort down gracefully: the source drains the queue and
-// observes EOF, the chain flushes everything it still holds through the sink
-// — where fade targets receive it — and only once the sink has exited is the
-// stage machinery stopped. The bypass cohort has nothing to stop; its
-// published view keeps serving writer-queued outbounds until they flush.
+// stop tears a chain cohort down gracefully: the worker runs what is still
+// queued, flushes what its stages hold — fade targets receive it on the way
+// down — and exits. The bypass cohort has nothing to stop; its published view
+// keeps serving writer-queued outbounds until they flush.
 func (c *cohort) stop() {
 	c.stopOnce.Do(func() {
-		if c.chain == nil {
+		if c.live == nil {
 			c.closed.Store(true)
 			return
 		}
 		close(c.done)
-		// If the chain already died on its own, the sink has exited and the
-		// queue may still hold frames nothing will read; Wait returns
-		// immediately and the drain below reclaims them.
-		c.sink.Wait()
+		// A worker whose stages failed has exited already and the queue may
+		// still hold frames nothing will run; the drain below reclaims them.
+		<-c.exited
 		c.closed.Store(true)
-		c.chain.Stop()
 		for {
 			select {
 			case b := <-c.in:

@@ -12,8 +12,8 @@ import (
 // Session-scoped composition: the control plane addresses a live session (and
 // optionally one of its fan-out receivers) and rewrites its chain while
 // traffic flows. Trunk operations resolve the session's compose.Live and
-// apply the rewrite under its splice lock, serialized with the adaptation
-// loop's marker splices. Receiver operations rewrite the member's tail *plan*
+// rewrite its plan, serialized with the adaptation loop's marker splices;
+// the new stage slice swaps in between two datagrams. Receiver operations rewrite the member's tail *plan*
 // and reassign its delivery cohort — under cohort delivery a receiver's tail
 // is shared state, so a per-receiver rewrite is a membership move, never
 // surgery on a chain other receivers are using. The canonical plan string

@@ -2,18 +2,18 @@
 // multi-session relay over real UDP datagrams. Every datagram carries a
 // 4-byte session ID followed by an ordinary packet frame (see
 // internal/packet). The engine demultiplexes datagrams by session ID into
-// per-session filter chains — each an independent instance of the paper's
-// ControlThread, so filters can still be inserted, removed and reordered on
-// any live session — and relays each chain's output either back to the
+// per-session stage chains and relays each chain's output either back to the
 // session's sender (echo mode) or to a fixed downstream address.
 //
 // Chains are built on the composition plane (internal/compose): the trunk
 // and branch specs parse to plan IRs instantiated through the shared stage
-// registry, every session binds its chain to a compose.Live, and the
-// control plane can atomically recompose any live session's chain — full
-// target-spec rewrites (RecomposeSession) or single-stage surgery — while
-// it carries traffic, serialized with the adaptation loops' marker splices
-// on the same splice lock.
+// registry, and every session binds its stage slice to a compose.Live, so
+// the control plane can recompose any live session — full rewrites
+// (RecomposeSession) or single-stage surgery — while it carries traffic.
+// Each live session runs one worker goroutine that takes datagrams off the
+// session's queue and runs them through every stage inline, to completion,
+// straight into the shard writer; a rewrite swaps the slice between two
+// datagrams.
 //
 // The data plane is sharded: Config.Shards reader goroutines (default one
 // per CPU) pull datagrams off the socket, sessions live in a sharded table
@@ -31,14 +31,14 @@
 // SendCalls counters expose the achieved syscall amortization (see
 // metrics.EngineStats).
 //
-// The steady-state relay path is allocation-free: datagrams travel in pooled
-// buffers (packet.GetBuf) from the socket read, through the chain's
-// detachable streams, to the shard writer's socket write, and session
-// lookup, peer tracking and counters all avoid per-packet allocation.
+// The steady-state relay path is allocation-free: a datagram travels in one
+// pooled buffer (packet.GetBuf) from the socket read, through every stage
+// that passes it on, to the shard writer's socket write, and session lookup,
+// peer tracking and counters all avoid per-packet allocation.
 //
 // The engine scales to a million mostly-idle sessions by making idleness
-// free: after Config.IdleTTL without traffic a session is parked — its chain,
-// goroutines and buffers released, only identity, plan and counters retained
+// free: after Config.IdleTTL without traffic a session is parked — its stages,
+// worker and buffers released, only identity, plan and counters retained
 // — and transparently rebuilt on the next datagram (park.go). Session counts
 // and engine stats are maintained as atomic gauges, so admission checks and
 // Stats() are O(1)/O(shards) regardless of table size, and an explicit
@@ -275,13 +275,15 @@ type Engine struct {
 	applyQ    []*receiverLoop
 	applyWake chan struct{}
 
-	// exitWg tracks in-flight session exit hooks. A plain WaitGroup would
-	// race: openSession may run on any goroutine (readers, tests), so an
-	// Add could otherwise land while Close is already in Wait with the
-	// counter at zero. exitMu + exitWaiting close that window.
-	exitMu      sync.Mutex
-	exitWaiting bool
-	exitWg      sync.WaitGroup
+	// workers tracks session worker goroutines, so Close returns only after
+	// a worker evicting its failed session is done. A plain WaitGroup would
+	// race: an incarnation may be built on any goroutine (readers, control
+	// operations, tests), so an Add could otherwise land while Close is
+	// already in Wait with the counter at zero. workersMu + workersWaiting
+	// close that window.
+	workersMu      sync.Mutex
+	workersWaiting bool
+	workers        sync.WaitGroup
 }
 
 // New validates cfg (including the chain spec) and returns an engine ready to
@@ -378,7 +380,7 @@ func New(cfg Config) (*Engine, error) {
 	// Chains owned by the adaptation plane carry a fec-adapt marker in their
 	// plan: the position the adaptation loop's encoder activates at, visible
 	// in (and preserved by) control-plane recomposition. Specs without an
-	// explicit marker get one injected right after the chain source, the
+	// explicit marker get one injected at the head of the plan, the
 	// historical default splice position.
 	if e.adaptOn {
 		if e.branching {
@@ -600,21 +602,21 @@ func (e *Engine) shardFor(id uint32) *shard {
 	return &e.shards[e.table.shardIndex(id)]
 }
 
-// openSession creates, registers and starts a session for id. The first
-// datagram's source becomes the session's initial peer. The slow path runs
-// lock-free: admission is one atomic against the global cap, the session —
-// chain build, adaptation prime and all — is constructed with no lock held,
-// and only the final registration takes the owning table shard's lock. When two
-// readers race to open the same ID, the loser tears its construction down
-// and adopts the winner.
+// openSession admits and registers a session record for id; the first
+// datagram's source becomes its initial peer. The record holds no
+// incarnation yet: the caller delivers the opening datagram, which builds it
+// exactly as it would unpark a parked session (deliverBuild). Admission is
+// one atomic against the global cap and registration takes only the owning
+// table shard's lock. When two readers race to open the same ID, the loser
+// adopts the winner's record.
 func (e *Engine) openSession(id uint32, peer netip.AddrPort) (*Session, error) {
 	if e.closed.Load() {
 		return nil, ErrEngineClosed
 	}
-	// Admission is one atomic against the global cap. Under the harvest
-	// policy a full table evicts its oldest-idle session and retries; a slot
-	// a concurrent open snatched first is retried too, since every round
-	// evicts a victim and refusal comes only once none is left.
+	// Under the harvest policy a full table evicts its oldest-idle session
+	// and retries; a slot a concurrent open snatched first is retried too,
+	// since every round evicts a victim and refusal comes only once none is
+	// left.
 	for {
 		if n := e.active.Add(1); n <= int64(e.cfg.MaxSessions) {
 			break
@@ -625,88 +627,38 @@ func (e *Engine) openSession(id uint32, peer netip.AddrPort) (*Session, error) {
 			return nil, ErrSessionLimit
 		}
 	}
-	s, err := newSession(e, id, peer)
-	if err != nil {
-		e.active.Add(-1)
-		return nil, err
-	}
+	s := newSession(e, id, peer)
 	winner, inserted := e.table.insert(id, s, e.closed.Load)
 	if !inserted {
-		// Lost the construction race to another reader, or the engine closed
-		// underneath us: release the slot and discard the unused session.
 		e.active.Add(-1)
-		s.close()
 		if winner == nil {
 			return nil, ErrEngineClosed
 		}
 		return winner, nil
 	}
-	if s.exited.Load() {
-		// The chain died inside the construct→register window, so the exit
-		// hook's eviction found nothing to remove. Evict here instead of
-		// leaving a dead session blackholing the ID; the next datagram opens
-		// a fresh one.
-		if e.table.remove(id, s) {
-			e.active.Add(-1)
-		}
-		var cause error
-		if cs := s.state(); cs != nil {
-			cause = cs.sink.Err()
-		}
-		s.close()
-		if cause != nil {
-			return nil, fmt.Errorf("engine: session %d: chain died during open: %w", id, cause)
-		}
-		return nil, fmt.Errorf("engine: session %d: chain ended during open", id)
-	}
 	e.shardFor(id).counters.opened.Add(1)
 	return s, nil
 }
 
-// trackSessionExit reserves a slot in the exit-hook WaitGroup, unless Close
-// has already begun waiting on it (the hook then runs untracked — its
-// session was never registered, so it early-returns after Close anyway).
-// The returned flag tells the hook whether it owns a slot to release.
-func (e *Engine) trackSessionExit() bool {
-	e.exitMu.Lock()
-	defer e.exitMu.Unlock()
-	if e.exitWaiting {
+// trackWorker reserves a slot in the worker WaitGroup, unless Close has
+// already begun waiting on it (the worker then runs untracked — its session
+// was closed before Close waits, so the worker is exiting anyway). The
+// returned flag tells the worker whether it owns a slot to release.
+func (e *Engine) trackWorker() bool {
+	e.workersMu.Lock()
+	defer e.workersMu.Unlock()
+	if e.workersWaiting {
 		return false
 	}
-	e.exitWg.Add(1)
+	e.workers.Add(1)
 	return true
 }
 
-// sessionExited runs on a chain incarnation's sink goroutine after that
-// chain terminates. A chain that dies on its own — for example because a
-// filter stage failed — is evicted so a dead session cannot occupy a slot and
-// blackhole its ID forever; deliberate stops (park, close) retired the
-// incarnation first and are ignored here. Replacing the old
-// one-watchdog-goroutine-per-session design with this exit hook removes a
-// third of the engine's per-session goroutines.
-func (e *Engine) sessionExited(s *Session, cs *chainState, tracked bool) {
-	if tracked {
-		defer e.exitWg.Done()
-	}
-	if cs.retired.Load() {
-		return // park or close tore this incarnation down deliberately
-	}
-	select {
-	case <-s.done:
-		return // CloseSession / Close is tearing the session down
-	default:
-	}
-	// Flag the death before touching the table: if the session is still in
-	// its construct→register window, this remove finds nothing, and it is
-	// openSession's post-insert check of this flag that evicts instead (the
-	// shard lock orders that check after this store).
-	s.exited.Store(true)
-	if err := cs.sink.Err(); err != nil {
-		s.shard.counters.chainErrors.Add(1)
-		e.logf("session %d: chain failed, evicting: %v", s.id, err)
-	} else {
-		e.logf("session %d: chain ended, evicting", s.id)
-	}
+// evict removes a session whose chain failed — a stage returned an error, or
+// its first build did — and closes it, so a dead session cannot occupy a
+// slot and blackhole its ID; the next datagram opens a fresh one.
+func (e *Engine) evict(s *Session, err error) {
+	e.logf("session %d: chain failed, evicting: %v", s.id, err)
 	if e.table.remove(s.id, s) {
 		e.active.Add(-1)
 	}
@@ -727,7 +679,8 @@ func (e *Engine) CloseSession(id uint32) error {
 		return fmt.Errorf("%w: %d", ErrUnknownSession, id)
 	}
 	e.active.Add(-1)
-	return s.close()
+	s.close()
+	return nil
 }
 
 // SessionStats snapshots every live session's counters, ordered by session
@@ -805,17 +758,15 @@ func (e *Engine) Close() error {
 	e.active.Add(-int64(len(sessions)))
 	firstErr := e.closeConns() // unblocks every reader
 	for _, s := range sessions {
-		if err := s.close(); err != nil && firstErr == nil {
-			firstErr = err
-		}
+		s.close()
 	}
-	// Every registered session's chain has now been stopped, so every
-	// tracked exit hook has fired or is firing; wait them out, then stop
-	// the writers (they drain and release whatever is still queued).
-	e.exitMu.Lock()
-	e.exitWaiting = true
-	e.exitMu.Unlock()
-	e.exitWg.Wait()
+	// Every registered session's worker has now been stopped; wait out any
+	// still evicting, then stop the writers (they drain and release whatever
+	// is still queued).
+	e.workersMu.Lock()
+	e.workersWaiting = true
+	e.workersMu.Unlock()
+	e.workers.Wait()
 	close(e.stopWriters)
 	e.wg.Wait()
 	e.logf("closed (%d sessions served)", e.Stats().TotalSessions)

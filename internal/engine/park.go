@@ -3,22 +3,25 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"time"
 
 	"rapidware/internal/packet"
 )
 
 // Idle-session parking: the mechanism that lets the engine hold a million
-// mostly-idle sessions. A live session costs two chain goroutines and a queue
-// of pooled buffers. After Config.IdleTTL with no traffic the engine's
-// maintenance tick *parks* the session: its chain drains and stops through the
-// ordinary quiescence machinery, both goroutines and the queue are released,
-// and all that remains is the Session struct — identity, counters, peer — plus
-// the canonical compose.Plan and an adaptation snapshot. The first inbound
-// datagram (or control operation) *unparks* it by rebuilding the chain from
-// the retained plan, transparently to peers. Parked sessions keep their
-// registration: the session ID, its pinned peer and its counters all survive,
-// so parking is invisible except as first-packet rebuild latency.
+// mostly-idle sessions. A live session costs one worker goroutine, its stage
+// slice and a queue of pooled buffers. After Config.IdleTTL with no traffic
+// the engine's maintenance tick *parks* the session: the worker flushes what
+// its stages still hold (an FEC encoder's partial group, a delay stage's
+// frames) and exits, the stage slice and the queue are released, and all that
+// remains is the Session struct — identity, counters, peer — plus the
+// canonical compose.Plan and an adaptation snapshot. The first inbound
+// datagram (or control operation) *unparks* it by rebuilding the stage slice
+// from the retained plan, transparently to peers; a new session's first
+// datagram builds its first incarnation the same way. Parked sessions keep
+// their registration: the session ID, its pinned peer and its counters all
+// survive, so parking is invisible except as first-packet rebuild latency.
 
 // errSessionClosed reports an unpark attempt on a session that is being torn
 // down.
@@ -31,43 +34,23 @@ var errSessionClosed = errors.New("engine: session closed")
 func (s *Session) park() bool {
 	s.parkMu.Lock()
 	defer s.parkMu.Unlock()
-	select {
-	case <-s.done:
-		return false
-	default:
-	}
 	cs := s.cs.Load()
-	if cs == nil {
+	if cs == nil || s.isClosed() {
 		return false
 	}
 	var snap = s.parkedAdapt
 	if cs.adaptor != nil {
 		snap = cs.adaptor.stats()
 	}
-	// Retire, then drain, then stop: retiring under parkMu turns any queued
-	// adaptation apply for this incarnation into a no-op, then — under the
-	// chain's splice lock, so no recompose holds a link detached mid-swap —
-	// cs.stop feeds the source io.EOF and the EOF cascades down the chain, each
-	// stage draining what is buffered before observing it, until the sink has
-	// emitted every in-flight frame and its goroutine exits. Only then is the
-	// chain formally stopped: calling Stop earlier would force-close the interior
-	// streams and discard whatever was mid-chain, and park — unlike close — must
-	// not lose output. The retired flag tells the sink's exit hook this teardown
-	// is deliberate.
-	cs.retired.Store(true)
-	cs.live.Quiesce(func() {
-		close(cs.stop)
-		cs.sink.Wait()
-		if err := cs.chain.Stop(); err != nil {
-			s.eng.logf("session %d: park: chain stop: %v", s.id, err)
-		}
-	})
-	if cs.tree != nil {
-		cs.tree.close()
+	// Retire under parkMu, which turns any queued adaptation apply for this
+	// incarnation into a no-op, then stop the worker: it flushes its stages
+	// in order and exits. Datagrams still queued are not the old worker's to
+	// run; they are reclaimed below.
+	s.stopLocked(cs)
+	// Share the engine's plan when unrewritten: a fresh copy pins dead memory.
+	if s.parkedPlan = cs.live.Plan(); slices.Equal(s.parkedPlan.Stages, s.eng.trunkPlan.Stages) {
+		s.parkedPlan = s.eng.trunkPlan
 	}
-	// The plan is captured after the stop so a recompose that won the splice
-	// lock before quiescence is retained, not lost.
-	s.parkedPlan = cs.live.Plan()
 	s.parkedAdapt = snap
 	s.cs.Store(nil)
 	s.parked.Store(true)
@@ -76,6 +59,9 @@ func (s *Session) park() bool {
 	// Reclaim datagrams that raced past deliver's confirming load into the
 	// retired queue: they are exactly the traffic that proves the session is
 	// not idle after all, so rebuild immediately and re-deliver them in order.
+	// Each was already counted by its deliverer (the confirming-load protocol
+	// guarantees exactly one of deliver and this drain owns it), so they are
+	// re-enqueued without recounting.
 	var leftovers []*packet.Buf
 reclaim:
 	for {
@@ -87,19 +73,8 @@ reclaim:
 		}
 	}
 	if len(leftovers) > 0 {
-		// Each reclaimed datagram was already counted by its deliverer (the
-		// confirming-load protocol guarantees exactly one of deliver and this
-		// drain owns it), so re-enqueue without recounting.
-		ncs, err := s.unparkLocked()
-		for _, b := range leftovers {
-			if err != nil {
-				s.counters.Drops.Add(1)
-				b.Release()
-				continue
-			}
-			select {
-			case ncs.in <- b:
-			default:
+		if _, err := s.unparkLocked(leftovers...); err != nil {
+			for _, b := range leftovers {
 				s.counters.Drops.Add(1)
 				b.Release()
 			}
@@ -108,39 +83,48 @@ reclaim:
 	return true
 }
 
-// unpark rebuilds a parked session's chain from its retained plan. It is the
-// slow path of deliver (first datagram after an idle period) and of control
-// operations addressing a parked session; on a live session it is a no-op
-// returning the current state.
+// unpark rebuilds a session's incarnation from its retained plan. It is the
+// slow path of control operations addressing a parked session; on a live
+// session it is a no-op returning the current state.
 func (s *Session) unpark() (*chainState, error) {
 	s.parkMu.Lock()
 	defer s.parkMu.Unlock()
 	if cs := s.cs.Load(); cs != nil {
 		return cs, nil
 	}
-	select {
-	case <-s.done:
+	if s.isClosed() {
 		return nil, errSessionClosed
-	default:
 	}
 	return s.unparkLocked()
 }
 
-// unparkLocked does the rebuild; the caller holds parkMu and has verified the
-// session is parked and not closed.
-func (s *Session) unparkLocked() (*chainState, error) {
+// unparkLocked builds an incarnation from the retained plan, queues the given
+// datagrams ahead of anything else, and only then publishes it. The caller
+// holds parkMu and has verified the session has no incarnation and is not
+// closed. A failed build counts a chain error; the datagrams stay the
+// caller's.
+func (s *Session) unparkLocked(queued ...*packet.Buf) (*chainState, error) {
 	cs, err := s.eng.buildChainState(s, s.parkedPlan)
 	if err != nil {
 		s.shard.counters.chainErrors.Add(1)
-		s.eng.logf("session %d: unpark: %v", s.id, err)
+		s.eng.logf("session %d: build: %v", s.id, err)
 		return nil, err
 	}
-	s.cs.Store(cs)
-	s.parked.Store(false)
+	for _, b := range queued {
+		select {
+		case cs.in <- b:
+		default: // cannot happen: the fresh queue is as deep as the one drained
+			s.counters.Drops.Add(1)
+			b.Release()
+		}
+	}
+	if s.parked.CompareAndSwap(true, false) {
+		s.shard.counters.parkedNow.Add(-1)
+		s.shard.counters.unparks.Add(1)
+	}
 	s.idleSince.Store(time.Now().UnixNano())
 	s.idleSeen.Store(s.activitySum())
-	s.shard.counters.parkedNow.Add(-1)
-	s.shard.counters.unparks.Add(1)
+	s.cs.Store(cs)
 	return cs, nil
 }
 
@@ -268,7 +252,7 @@ func (e *Engine) harvestOldestIdle(incoming uint32) bool {
 		if e.table.remove(victim.id, victim) {
 			break
 		}
-		// Somebody else (a concurrent harvest, close, or the exit hook)
+		// Somebody else (a concurrent harvest, close, or an eviction)
 		// removed this victim first; it is out of the table, so the next
 		// scan picks another.
 	}

@@ -128,9 +128,9 @@ func (d *dialConn) probe(id uint32, seq uint64) bool {
 }
 
 // waitGoroutines polls until the process goroutine count satisfies ok or the
-// deadline passes, returning the last observed count. Chain goroutines exit
-// asynchronously after Stop returns, so park-related goroutine assertions
-// need a settle window.
+// deadline passes, returning the last observed count. A worker goroutine
+// exits just after park or close sees it stop, so goroutine assertions need
+// a settle window.
 func waitGoroutines(t *testing.T, d time.Duration, ok func(int) bool) int {
 	t.Helper()
 	deadline := time.Now().Add(d)
@@ -173,7 +173,7 @@ func TestMaintInterval(t *testing.T) {
 
 // TestSessionParkUnparkTTL drives the full idle lifecycle with a fake clock:
 // two maintenance ticks (one to observe the session idle, one a TTL later to
-// park it) release the chain goroutines, and the first datagram afterwards
+// park it) release the worker goroutine, and the first datagram afterwards
 // rebuilds the chain and flows through it. Counters, plan and identity must
 // survive the round trip.
 func TestSessionParkUnparkTTL(t *testing.T) {
@@ -203,7 +203,7 @@ func TestSessionParkUnparkTTL(t *testing.T) {
 	if !s.Parked() {
 		t.Fatal("session not parked after a full idle TTL")
 	}
-	if s.Chain() != nil || s.Live() != nil {
+	if s.Live() != nil {
 		t.Fatal("parked session still exposes a chain")
 	}
 
@@ -225,9 +225,9 @@ func TestSessionParkUnparkTTL(t *testing.T) {
 	if ss[0].Chain != "counting" {
 		t.Fatalf("parked session chain column = %q, want retained plan %q", ss[0].Chain, "counting")
 	}
-	// The two chain goroutines must actually be gone.
-	if n := waitGoroutines(t, 5*time.Second, func(n int) bool { return n <= g0-2 }); n > g0-2 {
-		t.Fatalf("goroutines after park = %d, want <= %d (chain goroutines released)", n, g0-2)
+	// The session's one worker goroutine must actually be gone.
+	if n := waitGoroutines(t, 5*time.Second, func(n int) bool { return n <= g0-1 }); n > g0-1 {
+		t.Fatalf("goroutines after park = %d, want <= %d (worker released)", n, g0-1)
 	}
 
 	// First datagram after the idle period unparks transparently: it must not
@@ -239,8 +239,8 @@ func TestSessionParkUnparkTTL(t *testing.T) {
 	if s.Parked() {
 		t.Fatal("session still reports parked after traffic")
 	}
-	if ch := s.Chain(); ch == nil || ch.Len() != 3 {
-		t.Fatalf("rebuilt chain = %v, want source+counting+sink", ch)
+	if got := liveStages(s); got != 1 {
+		t.Fatalf("rebuilt slice holds %d stages, want the counting stage", got)
 	}
 	if got := s.Live().String(); got != "counting" {
 		t.Fatalf("rebuilt plan = %q, want %q", got, "counting")
@@ -553,13 +553,13 @@ func TestAdmissionHarvestRaceNeverRefuses(t *testing.T) {
 func TestHarvestCountsQueuedDatagrams(t *testing.T) {
 	e := newTestEngine(t, Config{MaxSessions: 1, Admission: AdmitHarvest})
 	s := openTrunk(t, e, 1)
-	// Stall the session: retire the incarnation and end its chain (the first
-	// half of a park), so nothing reads the inbound queue while the session
-	// stays registered and live.
+	// Stall the session: retire the incarnation and stop its worker (the
+	// first half of a park), so nothing reads the inbound queue while the
+	// session stays registered and live.
 	cs := s.state()
 	cs.retired.Store(true)
 	close(cs.stop)
-	cs.sink.Wait()
+	<-cs.exited
 	const queued = 5
 	for i := 0; i < queued; i++ {
 		dgram, err := packet.AppendDatagram(nil, 1, &packet.Packet{Seq: uint64(i), Kind: packet.KindData, Payload: []byte{byte(i)}})

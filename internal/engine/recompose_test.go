@@ -219,7 +219,7 @@ func TestEngineRecomposeUnderLoad(t *testing.T) {
 
 // TestEngineRecomposeVsResponderRetune interleaves control-plane branch
 // recompositions with the branch responder's own feedback-driven retunes on
-// a fan-out delivery branch: the two writers share the branch's splice lock,
+// a fan-out delivery branch: both rewrite the same member under the tree lock,
 // so neither may corrupt the chain or deadlock.
 func TestEngineRecomposeVsResponderRetune(t *testing.T) {
 	rx, err := net.ListenUDP("udp", &net.UDPAddr{IP: net.IPv4(127, 0, 0, 1)})

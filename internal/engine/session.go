@@ -2,15 +2,12 @@ package engine
 
 import (
 	"fmt"
-	"io"
 	"net/netip"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"rapidware/internal/compose"
-	"rapidware/internal/endpoint"
-	"rapidware/internal/filter"
 	"rapidware/internal/metrics"
 	"rapidware/internal/multicast"
 	"rapidware/internal/packet"
@@ -18,13 +15,15 @@ import (
 
 // Session is one proxied stream inside an Engine. Its identity, counters and
 // peer pinning live directly on the struct and survive for the session's whole
-// registered lifetime; everything that costs resources at scale — the filter
-// chain, its two endpoint goroutines, the inbound queue, the receiver
-// adaptation loops and the delivery tree — lives behind one atomic pointer to
-// a chainState, so an idle session can be parked down to this struct plus a
+// registered lifetime; everything that costs resources at scale — the stage
+// slice, its worker goroutine, the inbound queue, the receiver adaptation
+// loops and the delivery tree — lives behind one atomic pointer to a
+// chainState, so an idle session can be parked down to this struct plus a
 // retained plan and later rebuilt transparently (see park.go). Sessions are
 // created on demand by the engine's read loop when a datagram with an unknown
-// session ID arrives.
+// session ID arrives: the read loop registers the bare record, and the
+// opening datagram builds the first incarnation exactly as a datagram for a
+// parked session rebuilds one.
 type Session struct {
 	id  uint32
 	eng *Engine
@@ -38,9 +37,10 @@ type Session struct {
 	// under parkMu.
 	cs atomic.Pointer[chainState]
 
-	// parkMu serializes the park/unpark/close lifecycle transitions. The
+	// parkMu serializes the build/park/close lifecycle transitions. The
 	// fields below it are the "compact parked record": what remains of a
-	// session when its chain is gone.
+	// session when its chain is gone. A record that was never built yet is
+	// not parked (it holds the engine's trunk plan).
 	parkMu      sync.Mutex
 	parked      atomic.Bool
 	parkedPlan  compose.Plan        // canonical trunk plan retained at park (guarded by parkMu)
@@ -65,140 +65,161 @@ type Session struct {
 
 	done chan struct{}
 
-	// exited is set by the engine's exit hook when the chain terminates on
-	// its own. openSession checks it after registering the session: a chain
-	// that died inside the construct→register window would otherwise leave a
-	// dead session in the table (the hook's eviction ran before there was
-	// anything to evict) and blackhole the ID.
-	exited atomic.Bool
-
 	closeOnce sync.Once
-	closeErr  error
 
 	peerMu sync.RWMutex
 	peer   netip.AddrPort
 }
 
-// chainState is one incarnation of a session's running machinery: the filter
-// chain bracketed by UDP endpoints, the inbound datagram queue, and — when
-// configured — the adaptation plane and the per-receiver delivery tree.
-// filter chains cannot restart once stopped, so park discards the whole
-// incarnation and unpark builds a fresh one from the session's retained plan.
+// chainState is one incarnation of a session's running machinery: the
+// composed stage slice, the inbound datagram queue and the worker goroutine
+// that runs every queued datagram through the slice, and — when configured —
+// the adaptation plane and the per-receiver delivery tree. Park discards the
+// whole incarnation and unpark builds a fresh one from the session's
+// retained plan.
 type chainState struct {
-	chain *filter.Chain
-	// live binds the trunk chain to its composition plan; all structural
-	// mutation — control-plane recompose, adaptation splices — goes through
-	// it, serialized by its splice lock.
-	live   *compose.Live
-	source *endpoint.UDPSource
-	sink   *endpoint.UDPSink
+	// live owns the trunk's stage slice and its composition plan; all
+	// structural mutation — control-plane recompose, adaptation splices —
+	// goes through it, and the worker runs datagrams through it.
+	live *compose.Live
 
 	// adaptor holds the incarnation's receiver adaptation loops; nil when
 	// the engine runs without the feedback plane.
 	adaptor *sessionAdaptor
 
-	// tree is the session's per-receiver delivery tree: the trunk chain's
-	// output is cloned by reference into one branch tail per fan-out member.
+	// tree is the session's per-receiver delivery tree: the trunk's output
+	// is cloned by reference into one delivery cohort per protection level.
 	// nil on unicast sessions and on plain (branch-less) fan-out.
 	tree *deliveryTree
 
-	in   chan *packet.Buf
-	stop chan struct{}
+	in     chan *packet.Buf
+	stop   chan struct{} // closed by park or close: the worker flushes and exits
+	exited chan struct{} // closed by the worker as it exits
 
-	// retired is set (under the session's parkMu) before a deliberate chain
-	// stop — park or close — so the sink's exit hook can tell teardown from a
-	// chain dying on its own and skip the eviction path.
+	// retired is set (under the session's parkMu) before a deliberate stop —
+	// park or close — so a queued adaptation apply for this incarnation does
+	// nothing and a worker stopping with an error does not evict.
 	retired atomic.Bool
 }
 
-// newSession builds and starts the chain for one session. It runs with no
-// lock held — the caller registers the finished session in the sharded table
-// afterwards and resolves any construction race there.
-func newSession(e *Engine, id uint32, peer netip.AddrPort) (*Session, error) {
+// newSession returns the registration record for a new session: identity,
+// counters and peer, with the engine's trunk plan as its retained plan. The
+// first datagram builds its incarnation (deliver).
+func newSession(e *Engine, id uint32, peer netip.AddrPort) *Session {
 	s := &Session{
-		id:    id,
-		eng:   e,
-		shard: e.shardFor(id),
-		done:  make(chan struct{}),
-		peer:  peer,
+		id:         id,
+		eng:        e,
+		shard:      e.shardFor(id),
+		done:       make(chan struct{}),
+		peer:       peer,
+		parkedPlan: e.trunkPlan,
 	}
 	s.idleSince.Store(time.Now().UnixNano())
-	cs, err := e.buildChainState(s, e.trunkPlan)
-	if err != nil {
-		return nil, err
-	}
-	s.cs.Store(cs)
-	return s, nil
+	return s
 }
 
-// buildChainState assembles and starts one incarnation of a session's chain
-// from the given trunk plan: at open time from the engine's configured plan,
-// at unpark time from the plan the session retained when it was parked.
+// buildChainState assembles one incarnation of a session from the given
+// trunk plan and starts its worker. The caller holds parkMu and publishes
+// the result.
 func (e *Engine) buildChainState(s *Session, plan compose.Plan) (*chainState, error) {
 	cs := &chainState{
-		in:   make(chan *packet.Buf, e.cfg.QueueDepth),
-		stop: make(chan struct{}),
+		in:     make(chan *packet.Buf, e.cfg.QueueDepth),
+		stop:   make(chan struct{}),
+		exited: make(chan struct{}),
 	}
-	cs.chain = filter.NewChain(fmt.Sprintf("session-%d", s.id))
-	cs.source = endpoint.NewUDPSource(fmt.Sprintf("udp-in:%d", s.id), func() (*packet.Buf, error) {
-		return s.recv(cs)
-	})
-	// The trunk sink always reserves session-ID headroom: on the unicast path
-	// the frame is stamped and sent as-is, and on the delivery-tree path the
-	// tree stamps the same headroom once before teeing so the bypass lane can
-	// forward the shared buffer to the shard writer with no copy at all
-	// (cohort chains read past the stamp at a fixed offset).
-	cs.sink = endpoint.NewUDPSink(fmt.Sprintf("udp-out:%d", s.id), packet.SessionIDSize, func(b *packet.Buf) error {
-		return s.send(cs, b)
-	})
-	if err := cs.chain.Append(cs.source); err != nil {
-		return nil, err
-	}
-	if err := cs.chain.Append(cs.sink); err != nil {
-		return nil, err
-	}
-	// Compose the trunk interior between the endpoints from the plan; the
-	// same Live later applies control-plane recompositions and the adaptation
-	// loop's splices to the running chain.
-	live, err := compose.Attach(cs.chain, e.reg, s.composeEnv(), e.trunkMode(), plan)
+	live, err := compose.New(e.reg, s.composeEnv(), e.trunkMode(), plan, func(b *packet.Buf) { s.send(cs, b) })
 	if err != nil {
 		return nil, fmt.Errorf("engine: session %d chain: %w", s.id, err)
 	}
 	cs.live = live
-	// The sink's exit hook is the session's watchdog: when the chain
-	// terminates on its own the hook evicts the session, without spending a
-	// goroutine per session on a blocking Wait. Registered (and accounted in
-	// the engine's exit WaitGroup) before Start so the hook cannot be missed.
-	tracked := e.trackSessionExit()
-	cs.sink.OnExit(func() { e.sessionExited(s, cs, tracked) })
-	if err := cs.chain.Start(); err != nil {
-		if tracked && !cs.sink.Running() {
-			// The sink goroutine never launched, so the exit hook will never
-			// fire; balance the accounting here.
-			e.exitWg.Done()
-		}
-		return nil, fmt.Errorf("engine: session %d start: %w", s.id, err)
-	}
 	if e.adaptOn {
 		a, err := newSessionAdaptor(s, cs)
 		if err != nil {
-			// Deliberate teardown of the half-built incarnation: retire it
-			// first so the exit hook doesn't mistake the stop for a chain
-			// death and try to evict a session that was never registered.
-			cs.retired.Store(true)
-			cs.chain.Stop()
 			return nil, fmt.Errorf("engine: session %d adaptor: %w", s.id, err)
 		}
 		cs.adaptor = a
 	}
 	if e.branching {
-		// Build the delivery tree (and one branch per current fan-out member)
-		// before the session can receive a packet, so the first trunk frame
-		// already fans out through fully primed branches.
+		// Build the delivery tree (and one cohort per current protection
+		// level) before the session can run a packet, so the first trunk frame
+		// already fans out through fully primed cohorts.
 		cs.tree = newDeliveryTree(s, cs)
 		cs.tree.reconcile()
 	}
+	tracked := e.trackWorker()
+	go s.work(cs, tracked)
 	return cs, nil
+}
+
+// work is an incarnation's worker: it runs every queued datagram through the
+// stage slice, inline, straight into send, until park or close stops it. A
+// stage error ends the incarnation and evicts the session, so a dead chain
+// cannot occupy a slot and blackhole its ID.
+func (s *Session) work(cs *chainState, tracked bool) {
+	if tracked {
+		defer s.eng.workers.Done()
+	}
+	err := runStages(cs.live, cs.in, cs.stop, false, stripSessionID)
+	close(cs.exited)
+	if err != nil && !cs.retired.Load() {
+		s.shard.counters.chainErrors.Add(1)
+		s.eng.evict(s, err)
+	}
+}
+
+// stripSessionID readies an inbound datagram for the trunk's stages: the
+// frame stays in its buffer, and the session-ID prefix becomes headroom the
+// send path stamps again.
+func stripSessionID(b *packet.Buf) *packet.Buf {
+	b.B = b.B[packet.SessionIDSize:]
+	return b
+}
+
+// runStages is the worker loop shared by session trunks and delivery
+// cohorts: it selects on the inbound queue, on one timer (armed only while a
+// stage in the running slice ticks) and on stop, and runs each event through
+// live inline. On stop it first drains what is still queued when drain is
+// set, then flushes the stages in order. prep readies each dequeued buffer
+// for the stages.
+func runStages(live *compose.Live, in chan *packet.Buf, stop <-chan struct{}, drain bool, prep func(*packet.Buf) *packet.Buf) error {
+	var timer *time.Timer     // made when a stage first ticks: most slices never do
+	var tick <-chan time.Time // timer.C while armed
+	for {
+		var err error
+		select {
+		case b := <-in:
+			err = live.Process(prep(b))
+		case now := <-tick:
+			tick = nil
+			err = live.Tick(now)
+		case <-stop:
+			for drain {
+				select {
+				case b := <-in:
+					if err := live.Process(prep(b)); err != nil {
+						return err
+					}
+				default:
+					drain = false
+				}
+			}
+			return live.Flush()
+		}
+		if err != nil {
+			return err
+		}
+		if period := live.TickPeriod(); period > 0 && tick == nil {
+			if timer == nil {
+				timer = time.NewTimer(period)
+			} else {
+				timer.Reset(period)
+			}
+			tick = timer.C
+		} else if period == 0 && tick != nil {
+			timer.Stop()
+			tick = nil
+		}
+	}
 }
 
 // ID returns the session's wire identifier.
@@ -207,18 +228,8 @@ func (s *Session) ID() uint32 { return s.id }
 // state returns the session's current chain-bound state, nil while parked.
 func (s *Session) state() *chainState { return s.cs.Load() }
 
-// Chain exposes the session's filter chain for observation (nil while the
-// session is parked). Structural mutation goes through Live, which keeps the
-// chain and its plan consistent.
-func (s *Session) Chain() *filter.Chain {
-	if cs := s.cs.Load(); cs != nil {
-		return cs.chain
-	}
-	return nil
-}
-
 // Live exposes the session's composed trunk so the control plane (and tests)
-// can recompose it transactionally while traffic flows. nil while parked; the
+// can observe and recompose it while traffic flows. nil while parked; the
 // engine's control operations go through trunkOp, which unparks first.
 func (s *Session) Live() *compose.Live {
 	if cs := s.cs.Load(); cs != nil {
@@ -296,7 +307,7 @@ func (s *Session) Stats() metrics.SessionStats {
 			st.Cohorts = cs.tree.cohortCount()
 		}
 	} else {
-		st.Parked = true
+		st.Parked = s.parked.Load()
 		s.parkMu.Lock()
 		st.Chain = s.parkedPlan.String()
 		st.Adapt = s.parkedAdapt
@@ -352,9 +363,9 @@ func (s *Session) handleFeedback(from netip.AddrPort, frame []byte) {
 // implements it; the lookup is structural so a future stage kind (or a custom
 // registry's) can serve NACKs without touching the engine.
 type retransmitter interface {
-	// Lookup returns the buffered packet for seq (nil when evicted or never
-	// sent). The returned packet must be treated as read-only.
-	Lookup(seq uint64) *packet.Packet
+	// Frame returns a copy of the buffered frame for seq in a pooled buffer
+	// with session-ID headroom, or nil when evicted or never sent.
+	Frame(seq uint64) *packet.Buf
 }
 
 // historyFor resolves the retransmission history a NACK against the given
@@ -413,21 +424,11 @@ func (s *Session) handleNack(from netip.AddrPort, frame []byte) {
 		return
 	}
 	for _, seq := range seqs {
-		p := h.Lookup(seq)
-		if p == nil {
+		b := h.Frame(seq)
+		if b == nil {
 			continue
 		}
-		// Serialize the stored packet straight into a pooled wire buffer:
-		// session prefix first, then the frame appended in place.
-		b := packet.GetBuf(packet.SessionIDSize + packet.HeaderSize + len(p.Payload))
-		packet.PutSessionID(b.B, s.id)
-		dgram, err := packet.AppendFrame(b.B[:packet.SessionIDSize], p)
-		if err != nil {
-			b.Release()
-			continue
-		}
-		b.B = dgram
-		s.shard.enqueue(outbound{s: s, b: b, dst: from, rx: rx})
+		s.shard.enqueue(outbound{s: s, b: stamp(b, s.id), dst: from, rx: rx})
 		s.shard.counters.retransmits.Add(1)
 	}
 }
@@ -463,27 +464,26 @@ func (s *Session) setPeer(from netip.AddrPort) {
 
 // deliver hands one inbound datagram (session ID still prefixed) to the
 // session, dropping rather than blocking when the queue is full so one slow
-// session cannot stall the engine's shared read loop. A datagram for a parked
-// session unparks it first — the rebuild is the slow path; the live path is
-// one atomic load, the enqueue, and one confirming load. The confirming load
-// closes the park race: if park retired the queue between our load and the
-// enqueue, the datagram could sit in a channel nothing reads, so we reclaim
-// one buffer from the retired queue (ours, or an equivalent predecessor
-// park's drain didn't own) and deliver it through the fresh state. deliver
-// takes ownership of b.
+// session cannot stall the engine's shared read loop. A datagram for a
+// session with no incarnation — fresh or parked — takes the build path
+// (deliverBuild); the live path is one atomic load, the enqueue, and one
+// confirming load. The confirming load closes the park race: if park retired
+// the queue between our load and the enqueue, the datagram could sit in a
+// channel nothing reads, so we reclaim it from the retired queue — after
+// park's own drain, so it keeps its place behind the datagrams the drain
+// re-delivered — and deliver it through the fresh state. deliver takes
+// ownership of b.
 func (s *Session) deliver(b *packet.Buf, from netip.AddrPort) {
 	s.setPeer(from)
+	n := uint64(len(b.B)) // read before the send: the worker owns b afterwards
 	for {
 		cs := s.cs.Load()
 		if cs == nil {
-			var err error
-			if cs, err = s.unpark(); err != nil {
-				s.counters.Drops.Add(1)
-				b.Release()
+			if s.deliverBuild(b, n) {
 				return
 			}
+			continue // built meanwhile: queue behind the datagram that built it
 		}
-		n := uint64(len(b.B)) // read before the send: the chain owns b afterwards
 		select {
 		case cs.in <- b:
 		default:
@@ -496,12 +496,17 @@ func (s *Session) deliver(b *packet.Buf, from netip.AddrPort) {
 			s.counters.Bytes.Add(n)
 			return
 		}
+		// Park retired cs under us. Its drain runs under parkMu, so once we
+		// hold it, whatever is left in the retired queue arrived after the
+		// drain and goes around behind everything the drain re-delivered.
+		s.parkMu.Lock()
 		select {
 		case b = <-cs.in:
-			// Park raced us; go around with the reclaimed buffer.
+			s.parkMu.Unlock()
 		default:
-			// Park's drain (or the old chain, before it stopped) took
+			// Park's drain (or the old worker, before it stopped) took
 			// ownership of our datagram; either way it is not lost.
+			s.parkMu.Unlock()
 			s.counters.Packets.Add(1)
 			s.counters.Bytes.Add(n)
 			return
@@ -509,40 +514,82 @@ func (s *Session) deliver(b *packet.Buf, from netip.AddrPort) {
 	}
 }
 
-// recv feeds one incarnation's UDPSource: it blocks for the next queued
-// datagram, strips the session-ID prefix, and returns io.EOF once the
-// incarnation is parked or the session is closed.
-func (s *Session) recv(cs *chainState) (*packet.Buf, error) {
+// deliverBuild is deliver's path for a session with no incarnation: under
+// parkMu it builds one, queues b, and only then publishes the incarnation. A
+// reader that loads it afterwards queues behind b, and one that found the
+// session unbuilt waits on parkMu, finds it built and goes back to the live
+// path, behind b too — so a session's first datagrams keep their order across
+// readers. It reports false, leaving b to the caller, when another reader
+// built the incarnation first. A fresh session whose first build fails is
+// evicted.
+func (s *Session) deliverBuild(b *packet.Buf, n uint64) bool {
+	s.parkMu.Lock()
+	if s.cs.Load() != nil {
+		s.parkMu.Unlock()
+		return false
+	}
+	err := errSessionClosed
+	fresh := !s.parked.Load()
+	if !s.isClosed() {
+		_, err = s.unparkLocked(b)
+	}
+	s.parkMu.Unlock()
+	if err != nil {
+		s.counters.Drops.Add(1)
+		b.Release()
+		if fresh && err != errSessionClosed {
+			s.eng.evict(s, err)
+		}
+		return true
+	}
+	s.counters.Packets.Add(1)
+	s.counters.Bytes.Add(n)
+	return true
+}
+
+// isClosed reports whether close has begun.
+func (s *Session) isClosed() bool {
 	select {
-	case b := <-cs.in:
-		b.B = b.B[packet.SessionIDSize:]
-		return b, nil
-	case <-cs.stop:
-		return nil, io.EOF
 	case <-s.done:
-		return nil, io.EOF
+		return true
+	default:
+		return false
 	}
 }
 
-// send relays one chain-output frame. On the delivery-tree path the tree
-// stamps the session ID into the sink's reserved headroom once and tees the
-// frame into every delivery cohort by reference; otherwise the session ID is
-// stamped in place and the whole buffer is one datagram for the owning
-// shard's batched writer. Routing
-// every datagram of a session through one shard writer preserves per-session
-// output order; a full writer queue drops (UDP-style, counted) rather than
-// blocking the chain. send owns b until the enqueue.
-func (s *Session) send(cs *chainState, b *packet.Buf) error {
+// stamp prefixes the session ID to an output frame: in the headroom in front
+// of the frame when it has some (a frame that passed through every stage
+// still sits where its datagram arrived, and stages build new frames with
+// packet.GetFrameBuf), else in a fresh buffer.
+func stamp(b *packet.Buf, id uint32) *packet.Buf {
+	if !b.Prepend(packet.SessionIDSize) {
+		nb := packet.GetBuf(packet.SessionIDSize + len(b.B))
+		copy(nb.B[packet.SessionIDSize:], b.B)
+		b.Release()
+		b = nb
+	}
+	packet.PutSessionID(b.B, id)
+	return b
+}
+
+// send relays one trunk-output frame, on the worker. The session ID is
+// stamped once; on the delivery-tree path the frame is then teed into every
+// delivery cohort by reference, otherwise the whole buffer is one datagram
+// for the owning shard's batched writer. Routing every datagram of a session
+// through one shard writer preserves per-session output order; a full writer
+// queue drops (UDP-style, counted) rather than blocking the worker. send
+// owns b.
+func (s *Session) send(cs *chainState, b *packet.Buf) {
+	b = stamp(b, s.id)
 	if cs.tree != nil {
 		cs.tree.dispatch(b)
-		return nil
+		return
 	}
-	packet.PutSessionID(b.B, s.id)
 	if s.eng.group != nil {
 		// Fan-out: the writer snapshots the receiver group at flush time so
 		// membership changes apply to queued datagrams too.
 		s.shard.enqueue(outbound{s: s, b: b, fan: true})
-		return nil
+		return
 	}
 	dst := s.eng.forward
 	if !dst.IsValid() {
@@ -551,39 +598,38 @@ func (s *Session) send(cs *chainState, b *packet.Buf) error {
 	if !dst.IsValid() {
 		s.counters.Drops.Add(1)
 		b.Release()
-		return nil
+		return
 	}
 	s.shard.enqueue(outbound{s: s, b: b, dst: dst})
-	return nil
+}
+
+// stopLocked retires an incarnation and stops its worker, which flushes the
+// stages' held frames through send on its way out, then tears the delivery
+// tree down behind it. Queued datagrams stay in cs.in for the caller. Caller
+// holds parkMu.
+func (s *Session) stopLocked(cs *chainState) {
+	if cs.retired.CompareAndSwap(false, true) {
+		close(cs.stop)
+	}
+	<-cs.exited
+	if cs.tree != nil {
+		cs.tree.close()
+	}
 }
 
 // close terminates the session: the incarnation is retired (so a queued
-// adaptation apply finds it retired and does nothing), then the source
-// observes EOF, the trunk chain drains and stops — flushing any in-flight
-// frames through the tee — the delivery branches drain and stop in turn, and
+// adaptation apply finds it retired and does nothing) and stopped, and
 // datagrams still queued are returned to the pool and counted in the shard's
-// close-drop bucket, since the session's own counters leave with it. A parked
-// session closes by just releasing its slot in the parked gauge — there is
-// nothing else left to stop.
-func (s *Session) close() error {
+// close-drop bucket, since the session's own counters leave with it. A
+// parked session closes by just releasing its slot in the parked gauge —
+// there is nothing else left to stop.
+func (s *Session) close() {
 	s.closeOnce.Do(func() {
 		s.parkMu.Lock()
 		defer s.parkMu.Unlock()
-		cs := s.cs.Load()
-		if cs != nil {
-			// Retire before stopping so the sink's exit hook recognizes the
-			// deliberate teardown.
-			cs.retired.Store(true)
-		}
 		close(s.done)
-		if cs != nil {
-			s.closeErr = cs.chain.Stop()
-			if cs.tree != nil {
-				// The trunk is stopped, so no dispatch is in flight; tear the
-				// branches down after it so trailing trunk output still fanned
-				// out.
-				cs.tree.close()
-			}
+		if cs := s.cs.Load(); cs != nil {
+			s.stopLocked(cs)
 		drain:
 			for {
 				select {
@@ -599,5 +645,4 @@ func (s *Session) close() error {
 			s.shard.counters.parkedNow.Add(-1)
 		}
 	})
-	return s.closeErr
 }

@@ -317,12 +317,13 @@ func (sh *shard) writeLoop() {
 				break fill
 			}
 		}
+		// Counted before the send: no client sees an echo Stats has not counted.
+		sh.counters.writes.Add(uint64(n))
+		sh.counters.flushes.Add(1)
 		sh.flush(batch[:n])
 		for i := 0; i < n; i++ {
 			batch[i] = outbound{}
 		}
-		sh.counters.writes.Add(uint64(n))
-		sh.counters.flushes.Add(1)
 	}
 }
 
@@ -407,6 +408,9 @@ func (sh *shard) flush(batch []outbound) {
 	}
 	sh.wmsgs, sh.wacct = ms, acct
 	sh.sendBatch(ms, acct)
+	// Unpin the buffers released below (usually the reader's full-size ones).
+	clear(ms)
+	clear(acct)
 	for i := range batch {
 		batch[i].b.Release()
 	}

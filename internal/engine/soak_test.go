@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"net/netip"
 	"runtime"
@@ -11,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"rapidware/internal/filter"
 	"rapidware/internal/packet"
 )
 
@@ -114,15 +112,11 @@ func TestEngineSoak256Sessions(t *testing.T) {
 // sockets are shared (64 sessions per socket) so the test stays within file
 // descriptor limits.
 //
-// Each session runs two chain goroutines, so under the race detector — which
-// refuses to track more than 8128 simultaneously alive goroutines — the soak
-// scales itself down to stay inside that budget while still crossing every
-// shard.
+// Each live session runs one worker goroutine, so even under the race
+// detector — which refuses to track more than 8128 simultaneously alive
+// goroutines — all 4096 fit (4096 workers + clients + runtime < 8128).
 func TestEngineSoak4096SessionsCrossShard(t *testing.T) {
-	sessions := 4096 // all live: 2 chain goroutines each
-	if raceEnabled {
-		sessions = 3584 // 2 goroutines/session + clients + runtime < 8128
-	}
+	const sessions = 4096 // all live: one worker each
 	const clients = 64
 	perClient := sessions / clients
 
@@ -380,15 +374,14 @@ func TestEngineLiveFilterSpliceUnderTraffic(t *testing.T) {
 	// Live splices while traffic flows.
 	const splices = 50
 	for i := 0; i < splices; i++ {
-		f := filter.NewCounting(fmt.Sprintf("splice-%d", i))
-		if err := s.Chain().Insert(f, 1); err != nil {
+		if _, err := e.InsertSessionStage(id, "", "checksum", 0); err != nil {
 			t.Fatalf("insert %d: %v", i, err)
 		}
-		if _, err := s.Chain().Remove(1); err != nil {
+		if _, err := e.RemoveSessionStage(id, "", "0"); err != nil {
 			t.Fatalf("remove %d: %v", i, err)
 		}
-		if err := s.Chain().Validate(); err != nil {
-			t.Fatalf("chain wiring broken after splice %d: %v", i, err)
+		if got := s.Live().String(); got != "" {
+			t.Fatalf("plan after splice %d = %q, want the empty relay", i, got)
 		}
 	}
 

@@ -15,7 +15,7 @@ import (
 // materializing packet structs or copying payloads it does not have to. All
 // share staging and parity buffers come from the packet buffer pool, so a
 // steady-state encode touches the allocator not at all. FrameEncoder is not
-// safe for concurrent use; wrap it in the encoder filter for pipeline use.
+// safe for concurrent use; the encoder stages own one each.
 type FrameEncoder struct {
 	coder    *Coder
 	streamID uint32
@@ -73,10 +73,11 @@ func (e *FrameEncoder) Add(b *packet.Buf) (full bool, err error) {
 
 // Encode emits the full group: each held data frame is re-stamped in place
 // with its sequence number and block coordinates, the n-k parity frames are
-// computed into pooled buffers, and every complete frame is handed to emit in
-// index order. The slice passed to emit is only valid for the duration of the
-// call. All held buffers are released before Encode returns, success or not.
-func (e *FrameEncoder) Encode(emit func(frame []byte) error) error {
+// computed into pooled frame buffers (with session-ID headroom, see
+// packet.GetFrameBuf), and every complete frame is handed to emit in index
+// order. emit takes ownership of each buffer; on error the frames not yet
+// emitted are released.
+func (e *FrameEncoder) Encode(emit func(*packet.Buf)) error {
 	params := e.coder.Params()
 	k, n := params.K, params.N
 	if len(e.pending) != k {
@@ -101,7 +102,7 @@ func (e *FrameEncoder) Encode(emit func(frame []byte) error) error {
 		e.staging[i], e.sources[i] = sb, sb.B
 	}
 	for i := range e.pbufs {
-		pb := packet.GetBuf(packet.HeaderSize + shareSize)
+		pb := packet.GetFrameBuf(packet.HeaderSize + shareSize)
 		e.pbufs[i], e.parity[i] = pb, pb.B[packet.HeaderSize:]
 	}
 	err := e.coder.EncodeParityInto(e.sources, e.parity)
@@ -123,10 +124,8 @@ func (e *FrameEncoder) Encode(emit func(frame []byte) error) error {
 			return err
 		}
 		e.seq++
-		if err := emit(b.B); err != nil {
-			e.releaseParity()
-			return err
-		}
+		e.pending[i] = nil
+		emit(b)
 	}
 	for i, pb := range e.pbufs {
 		hdr := packet.Packet{
@@ -138,20 +137,18 @@ func (e *FrameEncoder) Encode(emit func(frame []byte) error) error {
 			return err
 		}
 		e.seq++
-		if err := emit(pb.B); err != nil {
-			e.releaseParity()
-			return err
-		}
+		e.pbufs[i], e.parity[i] = nil, nil
+		emit(pb)
 	}
-	e.releaseParity()
 	e.group++
 	return nil
 }
 
 // Flush emits a partially filled group as plain stamped data frames without
 // parity (parity requires a full group), keeping the stream lossless when it
-// ends — or hits an in-band barrier — mid-group. Emitted buffers are released.
-func (e *FrameEncoder) Flush(emit func(frame []byte) error) error {
+// ends — or hits an in-band barrier — mid-group. emit takes ownership of each
+// buffer.
+func (e *FrameEncoder) Flush(emit func(*packet.Buf)) error {
 	if len(e.pending) == 0 {
 		return nil
 	}
@@ -166,9 +163,8 @@ func (e *FrameEncoder) Flush(emit func(frame []byte) error) error {
 			return err
 		}
 		e.seq++
-		if err := emit(b.B); err != nil {
-			return err
-		}
+		e.pending[i] = nil
+		emit(b)
 	}
 	e.group++
 	return nil
@@ -177,7 +173,7 @@ func (e *FrameEncoder) Flush(emit func(frame []byte) error) error {
 // Discard releases any held frames without emitting them, the shutdown path.
 func (e *FrameEncoder) Discard() {
 	for i, b := range e.pending {
-		b.Release()
+		b.Release() // nil for frames already emitted
 		e.pending[i] = nil
 	}
 	e.pending = e.pending[:0]

@@ -33,7 +33,7 @@ func DefaultAdaptivePolicy() AdaptivePolicy { return adapt.DefaultPolicy() }
 // receivers need no coordination because each packet carries its group's
 // (k,n) in its header.
 type AdaptiveEncoderFilter struct {
-	*filter.Base
+	*filter.Stream
 
 	policy   AdaptivePolicy
 	streamID uint32
@@ -42,7 +42,7 @@ type AdaptiveEncoderFilter struct {
 	loss     float64
 	current  fec.Params
 	pending  fec.Params
-	enc      *fec.BlockEncoder
+	enc      *fec.FrameEncoder
 	switches uint64
 }
 
@@ -65,34 +65,45 @@ func NewAdaptiveEncoderFilter(name string, policy AdaptivePolicy, streamID uint3
 		streamID: streamID,
 		current:  start,
 		pending:  start,
-		enc:      fec.NewBlockEncoder(coder, streamID),
+		enc:      fec.NewFrameEncoder(coder, streamID),
 	}
-	af.Base = filter.NewPacketFunc(name,
-		func(p *packet.Packet) ([]*packet.Packet, error) {
-			if p.Kind != packet.KindData {
-				return []*packet.Packet{p}, nil
-			}
-			af.mu.Lock()
-			defer af.mu.Unlock()
-			if err := af.maybeSwitchLocked(); err != nil {
-				return nil, err
-			}
-			if af.current.N == af.current.K {
-				// FEC disabled: forward the packet untouched.
-				return []*packet.Packet{p}, nil
-			}
-			out, err := af.enc.Add(p.Payload)
-			if err != nil {
-				return nil, fmt.Errorf("fecproxy: adaptive encode: %w", err)
-			}
-			return out, nil
-		},
-		func() []*packet.Packet {
-			af.mu.Lock()
-			defer af.mu.Unlock()
-			return af.enc.Flush()
-		})
+	af.Stream = filter.NewStream(name, af)
 	return af, nil
+}
+
+// Process implements filter.Stage: data frames are grouped under the current
+// code (or forwarded untouched while FEC is off); everything else passes.
+func (af *AdaptiveEncoderFilter) Process(b *packet.Buf, emit func(*packet.Buf)) error {
+	if packet.FrameKind(b.B) != packet.KindData {
+		emit(b)
+		return nil
+	}
+	af.mu.Lock()
+	defer af.mu.Unlock()
+	if err := af.maybeSwitchLocked(); err != nil {
+		b.Release()
+		return err
+	}
+	if af.current.N == af.current.K {
+		// FEC disabled: forward the packet untouched.
+		emit(b)
+		return nil
+	}
+	full, err := af.enc.Add(b)
+	if err == nil && full {
+		err = af.enc.Encode(emit)
+	}
+	if err != nil {
+		return fmt.Errorf("fecproxy: adaptive encode: %w", err)
+	}
+	return nil
+}
+
+// Flush implements filter.Flusher: a partial group leaves without parity.
+func (af *AdaptiveEncoderFilter) Flush(emit func(*packet.Buf)) error {
+	af.mu.Lock()
+	defer af.mu.Unlock()
+	return af.enc.Flush(emit)
 }
 
 // SetLossRate reports the link's observed loss rate; the code switches at the
@@ -137,10 +148,13 @@ func (af *AdaptiveEncoderFilter) maybeSwitchLocked() error {
 	if err != nil {
 		return err
 	}
-	af.enc = fec.NewBlockEncoder(coder, af.streamID)
+	af.enc = fec.NewFrameEncoder(coder, af.streamID)
 	af.current = af.pending
 	af.switches++
 	return nil
 }
 
-var _ filter.Filter = (*AdaptiveEncoderFilter)(nil)
+var (
+	_ filter.Stage  = (*AdaptiveEncoderFilter)(nil)
+	_ filter.Filter = (*AdaptiveEncoderFilter)(nil)
+)

@@ -1,14 +1,14 @@
 // Package fecproxy assembles the paper's FEC audio proxy (Figure 6) from the
 // generic building blocks: packet-level filters that add forward error
 // correction to an outgoing stream and reconstruct lost packets on the
-// receiving side. Both are ordinary chain filters, so they can be inserted
-// into and removed from a live proxy by the ControlThread or by responder
-// raplets exactly as the paper describes.
+// receiving side. Both are packet stages (filter.Stage): the relay engine
+// runs them inline, and stream mode hosts them as ordinary chain filters, so
+// they can be inserted into and removed from a live proxy by the
+// ControlThread exactly as the paper describes.
 package fecproxy
 
 import (
 	"fmt"
-	"io"
 	"sync"
 	"sync/atomic"
 
@@ -21,15 +21,15 @@ import (
 // EncoderFilter groups incoming data packets into FEC blocks and emits the
 // data plus parity packets, the "FEC Encoder" stage of Figure 6.
 //
-// The processing loop never materializes decoded packets: frames are read
-// into pooled buffers, grouped as raw frames, re-stamped in place, and the
-// parity frames are encoded directly into pooled buffers (see
-// fec.FrameEncoder) — the steady-state data path performs no heap
-// allocations.
+// It never materializes decoded packets: data frames are grouped in the
+// buffers they arrived in, re-stamped in place, and the parity frames are
+// encoded directly into pooled buffers (see fec.FrameEncoder) — the
+// steady-state data path performs no heap allocations.
 type EncoderFilter struct {
-	*filter.Base
+	*filter.Stream
 
 	params  fec.Params
+	enc     *fec.FrameEncoder
 	dataIn  atomic.Uint64
 	dataOut atomic.Uint64
 	parity  atomic.Uint64
@@ -45,69 +45,51 @@ func NewEncoderFilter(name string, params fec.Params, streamID uint32) (*Encoder
 	if name == "" {
 		name = "fec-encoder" + params.String()
 	}
-	ef := &EncoderFilter{params: params}
-	k, n := params.K, params.N
-	ef.Base = filter.New(name, func(r io.Reader, w io.Writer) error {
-		enc := fec.NewFrameEncoder(coder, streamID)
-		defer enc.Discard()
-		pr := packet.NewReader(r)
-		// Each emitted frame is one Write call, so downstream pause/reconnect
-		// operations always happen on frame boundaries.
-		emit := func(frame []byte) error {
-			_, err := w.Write(frame)
-			return err
-		}
-		flush := func() error {
-			held := uint64(enc.Pending())
-			if err := enc.Flush(emit); err != nil {
-				return err
-			}
-			ef.dataOut.Add(held)
-			return nil
-		}
-		for {
-			b, err := pr.ReadFrameBuf(0)
-			if err != nil {
-				if err == io.EOF {
-					return flush()
-				}
-				return err
-			}
-			// Parity and control packets pass through untouched; only data
-			// packets are (re)grouped into FEC blocks. Control packets act as
-			// group barriers: a partially filled group is flushed (without
-			// parity) ahead of them, so an in-band marker never overtakes
-			// data the encoder was still holding — stream position stays
-			// meaningful across the filter.
-			if kind := packet.FrameKind(b.B); kind != packet.KindData {
-				if kind == packet.KindControl {
-					if err := flush(); err != nil {
-						b.Release()
-						return err
-					}
-				}
-				err := emit(b.B)
-				b.Release()
-				if err != nil {
-					return err
-				}
-				continue
-			}
-			ef.dataIn.Add(1)
-			full, err := enc.Add(b)
-			if err != nil {
-				return fmt.Errorf("fecproxy: encode: %w", err)
-			}
-			if full {
-				if err := enc.Encode(emit); err != nil {
-					return fmt.Errorf("fecproxy: encode: %w", err)
-				}
-				ef.dataOut.Add(uint64(k))
-				ef.parity.Add(uint64(n - k))
-			}
-		}
-	})
+	ef := &EncoderFilter{params: params, enc: fec.NewFrameEncoder(coder, streamID)}
+	ef.Stream = filter.NewStream(name, ef)
 	return ef, nil
+}
+
+// Process implements filter.Stage. Parity and control packets pass through
+// untouched; only data packets are (re)grouped into FEC blocks. Control
+// packets act as group barriers: a partially filled group is flushed (without
+// parity) ahead of them, so an in-band marker never overtakes data the
+// encoder was still holding — stream position stays meaningful across the
+// stage.
+func (ef *EncoderFilter) Process(b *packet.Buf, emit func(*packet.Buf)) error {
+	if kind := packet.FrameKind(b.B); kind != packet.KindData {
+		if kind == packet.KindControl {
+			if err := ef.Flush(emit); err != nil {
+				b.Release()
+				return err
+			}
+		}
+		emit(b)
+		return nil
+	}
+	ef.dataIn.Add(1)
+	full, err := ef.enc.Add(b)
+	if err != nil {
+		return fmt.Errorf("fecproxy: encode: %w", err)
+	}
+	if full {
+		if err := ef.enc.Encode(emit); err != nil {
+			return fmt.Errorf("fecproxy: encode: %w", err)
+		}
+		ef.dataOut.Add(uint64(ef.params.K))
+		ef.parity.Add(uint64(ef.params.N - ef.params.K))
+	}
+	return nil
+}
+
+// Flush implements filter.Flusher: a partial group leaves without parity.
+func (ef *EncoderFilter) Flush(emit func(*packet.Buf)) error {
+	held := uint64(ef.enc.Pending())
+	if err := ef.enc.Flush(emit); err != nil {
+		return err
+	}
+	ef.dataOut.Add(held)
+	return nil
 }
 
 // Params returns the encoder's code parameters.
@@ -132,7 +114,7 @@ func (ef *EncoderFilter) Overhead() float64 {
 // the "FEC Decoder" stage of Figure 6. Parity packets are consumed; only data
 // packets (original or reconstructed) are forwarded downstream.
 type DecoderFilter struct {
-	*filter.Base
+	*filter.PacketStage
 
 	mu    sync.Mutex
 	dec   *fec.BlockDecoder
@@ -150,7 +132,7 @@ func NewDecoderFilter(name string, trace *metrics.TraceRecorder) *DecoderFilter 
 		name = "fec-decoder"
 	}
 	df := &DecoderFilter{dec: fec.NewBlockDecoder(0), trace: trace}
-	df.Base = filter.NewPacketFunc(name, func(p *packet.Packet) ([]*packet.Packet, error) {
+	df.PacketStage = filter.NewPacketFunc(name, func(p *packet.Packet) ([]*packet.Packet, error) {
 		df.mu.Lock()
 		defer df.mu.Unlock()
 		if p.Kind == packet.KindData {
@@ -205,6 +187,7 @@ func (df *DecoderFilter) Stats() (received, reconstructed, forwarded uint64) {
 }
 
 var (
+	_ filter.Stage  = (*EncoderFilter)(nil)
 	_ filter.Filter = (*EncoderFilter)(nil)
-	_ filter.Filter = (*DecoderFilter)(nil)
+	_ filter.Stage  = (*DecoderFilter)(nil)
 )

@@ -7,8 +7,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"rapidware/internal/packet"
 )
 
 // copyBufferSize is the chunk size used by the streaming built-in filters.
@@ -179,7 +177,7 @@ func NewDelay(name string, d time.Duration) *Base {
 
 // NewTransform returns a filter applying fn to every chunk read. fn must be
 // a pure byte transformation that does not depend on chunk boundaries (e.g.
-// byte-wise mapping); for frame-aware transformations use NewPacketFunc.
+// byte-wise mapping); for frame-aware transformations use a Stage.
 func NewTransform(name string, fn func([]byte) []byte) *Base {
 	if name == "" {
 		name = "transform"
@@ -196,50 +194,6 @@ func NewTransform(name string, fn func([]byte) []byte) *Base {
 			}
 			if err != nil {
 				return err
-			}
-		}
-	})
-}
-
-// PacketFunc transforms one decoded packet into zero or more packets to
-// forward. Returning an empty slice drops the packet.
-type PacketFunc func(*packet.Packet) ([]*packet.Packet, error)
-
-// NewPacketFunc returns a filter that parses the framed packet stream,
-// applies fn to each packet, and re-frames the results. Each output frame is
-// written with a single Write call, so downstream pause/reconnect operations
-// always happen on frame boundaries. flush, if non-nil, is invoked at EOF and
-// may emit trailing packets (e.g. a partially filled FEC group).
-func NewPacketFunc(name string, fn PacketFunc, flush func() []*packet.Packet) *Base {
-	if name == "" {
-		name = "packetfunc"
-	}
-	return New(name, func(r io.Reader, w io.Writer) error {
-		pr := packet.NewReader(r)
-		pw := packet.NewWriter(w)
-		for {
-			p, err := pr.ReadPacket()
-			if err != nil {
-				if err == io.EOF {
-					if flush != nil {
-						for _, fp := range flush() {
-							if werr := pw.WritePacket(fp); werr != nil {
-								return werr
-							}
-						}
-					}
-					return nil
-				}
-				return err
-			}
-			outs, err := fn(p)
-			if err != nil {
-				return err
-			}
-			for _, op := range outs {
-				if werr := pw.WritePacket(op); werr != nil {
-					return werr
-				}
 			}
 		}
 	})

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"rapidware/internal/stream"
 )
@@ -256,15 +255,10 @@ func (c *Chain) Move(from, to int) error {
 	if err != nil {
 		return err
 	}
-	// The removed filter was stopped; restart happens inside Insert only when
-	// the chain is started, but a stopped Base cannot be restarted. Wrap it in
-	// a fresh runner if needed by the caller; for built-in pass-through
-	// filters reinsertion of the same instance is supported by resetting via
-	// Insert because Base.Start on a stopped filter returns ErrAlreadyStarted.
-	// To keep Move dependable for any Filter implementation we require the
-	// filter to be restartable; Base is not, so Move re-wraps it.
-	if b, ok := f.(*Base); ok {
-		f = b.respawn()
+	// The removed filter was stopped and a stopped stream loop cannot be
+	// restarted, so filters that can give themselves fresh endpoints do.
+	if r, ok := f.(interface{ respawn() Filter }); ok {
+		f = r.respawn()
 	}
 	return c.Insert(f, to)
 }
@@ -272,182 +266,8 @@ func (c *Chain) Move(from, to int) error {
 // respawn returns a fresh Base sharing the original's name and ProcessFunc
 // but with new stream endpoints and lifecycle state, allowing a removed
 // filter to be reinserted.
-func (b *Base) respawn() *Base {
+func (b *Base) respawn() Filter {
 	return New(b.name, b.fn)
-}
-
-// SetInterior atomically replaces the chain's interior (everything between
-// the endpoint stages) with the given stages, under one acquisition of the
-// chain lock — the transactional splice beneath the compose plane's live
-// recomposition. Stages already in the chain are rewired in place (their
-// processing goroutines and state survive); stages that drop out are stopped
-// once isolated; stages new to the chain are started when the chain is
-// running.
-//
-// The switch never exposes a half-built chain to traffic: the source
-// endpoint's output is paused first, so no new data enters the interior
-// until the full target wiring is connected, and the old interior is drained
-// left to right — pausing each stage's output only after everything upstream
-// of it has been pushed at least one stage downstream — so no relayed frame
-// is lost. (As with Remove, data a *removed* stage has consumed but not yet
-// emitted — e.g. an FEC encoder's partially filled group — leaves with it.)
-//
-// A stage may appear in the target at most once, and the chain must already
-// have its two endpoints.
-func (c *Chain) SetInterior(stages []Filter) error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if len(c.stages) < 2 {
-		return ErrChainTooShort
-	}
-	source := c.stages[0]
-	sink := c.stages[len(c.stages)-1]
-	old := c.stages[1 : len(c.stages)-1]
-	keep := make(map[Filter]bool, len(stages))
-	inOld := make(map[Filter]bool, len(old))
-	for _, f := range old {
-		inOld[f] = true
-	}
-	for _, f := range stages {
-		if f == nil {
-			return fmt.Errorf("filter: nil interior stage")
-		}
-		if f == source || f == sink || keep[f] {
-			return fmt.Errorf("filter: stage %q appears twice in the target interior", f.Name())
-		}
-		keep[f] = true
-		if inOld[f] {
-			continue
-		}
-		// Preflight incoming stages before any wiring is disturbed: a stage
-		// that is already running elsewhere, still wired to something, or
-		// was stopped once (a Base cannot be restarted) would fail the
-		// splice midway, and failing here keeps the error path trivial —
-		// nothing has been touched yet.
-		if f.Running() {
-			return fmt.Errorf("filter: incoming stage %q is already running", f.Name())
-		}
-		if f.In().Connected() || f.Out().Connected() {
-			return fmt.Errorf("filter: incoming stage %q is still wired to another chain", f.Name())
-		}
-		if f.In().Closed() || f.Out().Closed() {
-			return fmt.Errorf("filter: incoming stage %q was stopped and cannot be restarted", f.Name())
-		}
-	}
-
-	// Phase 1: freeze inflow, then drain the old interior left to right. Each
-	// Pause detaches one link after its reader has consumed every buffered
-	// byte, and before a stage's own output freezes we additionally wait for
-	// the stage to go quiescent — its goroutine done transforming what it
-	// consumed and parked on its (already frozen and drained) input — so by
-	// the time a stage detaches, everything it was ever handed has moved on
-	// downstream. (Data a stage *deliberately* retains — an FEC encoder's
-	// partially filled group, a thinning filter's dropped packets — is filter
-	// state, and leaves with the stage if it is removed.)
-	if err := source.Out().Pause(); err != nil && !errors.Is(err, stream.ErrNotConnected) {
-		return fmt.Errorf("filter: pause %q: %w", source.Name(), err)
-	}
-	for _, f := range old {
-		waitQuiescent(f)
-		if err := f.Out().Pause(); err != nil && !errors.Is(err, stream.ErrNotConnected) {
-			return fmt.Errorf("filter: pause %q: %w", f.Name(), err)
-		}
-	}
-
-	// Phase 2: rewire source -> stages... -> sink. Every link involved was
-	// detached above (new stages come with fresh, unconnected endpoints).
-	// Preflight makes failure here mean the chain's own endpoints are
-	// closing (the session is being torn down); rollbackInterior still
-	// restores the original wiring best-effort so an aborted splice never
-	// leaves a half-wired chain behind c.stages' back.
-	prev := source
-	for _, f := range stages {
-		if err := stream.Reconnect(prev.Out(), f.In()); err != nil {
-			c.rollbackInterior(source, sink, old, stages, nil)
-			return fmt.Errorf("filter: reconnect %q->%q: %w", prev.Name(), f.Name(), err)
-		}
-		prev = f
-	}
-	if err := stream.Reconnect(prev.Out(), sink.In()); err != nil {
-		c.rollbackInterior(source, sink, old, stages, nil)
-		return fmt.Errorf("filter: reconnect %q->%q: %w", prev.Name(), sink.Name(), err)
-	}
-
-	// Phase 3: bring the target interior to life, then stop the stages that
-	// fell out of the chain (now fully isolated).
-	if c.started {
-		started := make([]Filter, 0, len(stages))
-		for _, f := range stages {
-			if f.Running() {
-				continue
-			}
-			if err := f.Start(); err != nil {
-				c.rollbackInterior(source, sink, old, stages, started)
-				return fmt.Errorf("filter: start %q: %w", f.Name(), err)
-			}
-			started = append(started, f)
-		}
-	}
-	var firstErr error
-	for _, f := range old {
-		if keep[f] {
-			continue
-		}
-		if err := f.Stop(); err != nil && !errors.Is(err, ErrNotStarted) && firstErr == nil {
-			firstErr = fmt.Errorf("filter: stop %q: %w", f.Name(), err)
-		}
-	}
-
-	next := make([]Filter, 0, len(stages)+2)
-	next = append(next, source)
-	next = append(next, stages...)
-	next = append(next, sink)
-	c.stages = next
-	return firstErr
-}
-
-// rollbackInterior is SetInterior's undo path: it detaches whatever the
-// aborted splice managed to wire, restores the original
-// source -> old... -> sink wiring, and stops the new stages the splice had
-// already started. Best-effort by design — it only runs when the chain's
-// endpoints are closing underneath the splice, where the subsequent
-// teardown reconciles whatever cannot be restored — so errors are ignored.
-// Caller holds c.mu; c.stages still names the original interior.
-func (c *Chain) rollbackInterior(source, sink Filter, old, attempted, started []Filter) {
-	_ = source.Out().Pause()
-	for _, f := range attempted {
-		_ = f.Out().Pause()
-	}
-	for _, f := range started {
-		_ = f.Stop()
-	}
-	prev := source
-	for _, f := range old {
-		_ = stream.Reconnect(prev.Out(), f.In())
-		prev = f
-	}
-	_ = stream.Reconnect(prev.Out(), sink.In())
-}
-
-// waitQuiescent blocks (bounded) until a stage's processing goroutine holds
-// no consumed-but-unemitted data. Only meaningful once the stage's inflow is
-// frozen: with no new input, quiescence is permanent. Stages that cannot
-// report quiescence, and stages that stay busy past the bound (a rate
-// limiter starved of tokens mid-chunk), fall back to the legacy splice
-// semantics — their in-flight chunk leaves with them if they are removed.
-func waitQuiescent(f Filter) {
-	q, ok := f.(Quiescer)
-	if !ok {
-		return
-	}
-	const bound = 2 * time.Second
-	deadline := time.Now().Add(bound)
-	for !q.Quiescent() {
-		if time.Now().After(deadline) {
-			return
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
 }
 
 // Validate checks the chain's internal wiring: every adjacent pair must be

@@ -1,9 +1,15 @@
-// Package filter defines the proxy filter abstraction from the paper: active
-// components that read a byte stream from a DetachableInputStream, transform
-// it, and write the result to a DetachableOutputStream. Filters are composed
-// into a Chain (the paper's ControlThread), which can insert, delete and
-// reorder them on a live stream using the detachable-stream pause/reconnect
-// protocol.
+// Package filter defines the proxy filter abstractions. Stream filters are
+// the paper's: active components that read a byte stream from a
+// DetachableInputStream, transform it, and write the result to a
+// DetachableOutputStream. They are composed into a Chain (the paper's
+// ControlThread), which can insert, delete and reorder them on a live stream
+// using the detachable-stream pause/reconnect protocol.
+//
+// Stages (stage.go) are the packet-native form every compose stage kind
+// takes: Process consumes one frame and emits the results synchronously. The
+// relay engine runs them inline on one worker per session; stream mode hosts
+// them through the Stream adapter. The byte-stream builtins in builtin.go
+// stay stream filters for the paper's raw-byte experiments.
 package filter
 
 import (
@@ -11,7 +17,6 @@ import (
 	"fmt"
 	"io"
 	"sync"
-	"sync/atomic"
 
 	"rapidware/internal/stream"
 )
@@ -64,25 +69,11 @@ type Base struct {
 	in  *stream.DetachableReader
 	out *stream.DetachableWriter
 
-	// bytesIn and bytesOut count the bytes the processing goroutine has read
-	// and written, maintained by thin wrappers around the streams handed to
-	// fn. They feed the control plane's per-stage view; two atomic adds per
-	// chunk keep the data path allocation-free.
-	bytesIn  atomic.Uint64
-	bytesOut atomic.Uint64
-	// busy is true from the moment a read hands the processing goroutine
-	// data until it comes back for more — i.e. while the goroutine may hold
-	// consumed-but-unemitted bytes. Chain.SetInterior waits for stages to go
-	// quiescent after freezing their inflow, so a splice never discards a
-	// chunk that was mid-transform.
-	busy atomic.Bool
-
 	mu      sync.Mutex
 	started bool
 	stopped bool
 	done    chan struct{}
 	runErr  error
-	onExit  func()
 }
 
 // New returns a filter named name whose processing loop is fn.
@@ -118,20 +109,9 @@ func (b *Base) Running() bool {
 	return b.started && !b.stopped
 }
 
-// OnExit registers fn to run on the processing goroutine after it has
-// terminated and after Wait observers have been unblocked. It must be called
-// before Start; at most one hook is supported (later calls replace earlier
-// ones). The engine uses this to evict sessions whose chains die without
-// spending a watchdog goroutine per session.
-func (b *Base) OnExit(fn func()) {
-	b.mu.Lock()
-	b.onExit = fn
-	b.mu.Unlock()
-}
-
 // Start implements Filter. The processing goroutine runs fn(in, out); when fn
 // returns, the output stream is closed so downstream stages observe EOF (or
-// the error fn returned), then any OnExit hook fires.
+// the error fn returned).
 func (b *Base) Start() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
@@ -140,15 +120,9 @@ func (b *Base) Start() error {
 	}
 	b.started = true
 	b.done = make(chan struct{})
-	onExit := b.onExit
 	go func() {
-		if onExit != nil {
-			// Deferred first so it runs last: after done is closed and every
-			// Wait caller can already observe the exit.
-			defer onExit()
-		}
 		defer close(b.done)
-		err := b.fn(countingReader{b.in, &b.bytesIn, &b.busy}, countingWriter{b.out, &b.bytesOut})
+		err := b.fn(b.in, b.out)
 		if err != nil && !errors.Is(err, io.EOF) && !errors.Is(err, stream.ErrClosed) && !errors.Is(err, io.ErrClosedPipe) {
 			b.mu.Lock()
 			b.runErr = err
@@ -190,63 +164,6 @@ func (b *Base) Err() error {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	return b.runErr
-}
-
-// IOBytes returns the number of bytes the filter's processing goroutine has
-// read from its input and written to its output, the per-stage counters the
-// control plane's session view reports.
-func (b *Base) IOBytes() (in, out uint64) {
-	return b.bytesIn.Load(), b.bytesOut.Load()
-}
-
-// Quiescer is implemented by filters that can report whether their
-// processing goroutine is currently holding consumed-but-unemitted data.
-// Chain.SetInterior uses it to drain a stage completely — upstream paused,
-// stage idle — before detaching it, so live recomposition never loses a
-// chunk that was mid-transform.
-type Quiescer interface {
-	Quiescent() bool
-}
-
-// Quiescent reports that the processing goroutine holds no consumed data: it
-// is parked in (or on its way back to) a read. Only meaningful while the
-// filter's inflow is frozen — with data still arriving the state flaps.
-func (b *Base) Quiescent() bool { return !b.busy.Load() }
-
-// countingReader and countingWriter wrap the stream endpoints handed to a
-// Base's ProcessFunc so every stage reports per-stage traffic — and the
-// quiescence state splices rely on — without any cooperation from the
-// filter body.
-type countingReader struct {
-	r    io.Reader
-	n    *atomic.Uint64
-	busy *atomic.Bool
-}
-
-func (c countingReader) Read(p []byte) (int, error) {
-	// Everything consumed so far has been processed and emitted (or
-	// deliberately retained as filter state): the goroutine is back asking
-	// for more.
-	c.busy.Store(false)
-	n, err := c.r.Read(p)
-	if n > 0 {
-		c.n.Add(uint64(n))
-		c.busy.Store(true)
-	}
-	return n, err
-}
-
-type countingWriter struct {
-	w io.Writer
-	n *atomic.Uint64
-}
-
-func (c countingWriter) Write(p []byte) (int, error) {
-	n, err := c.w.Write(p)
-	if n > 0 {
-		c.n.Add(uint64(n))
-	}
-	return n, err
 }
 
 // Wait blocks until the processing goroutine has exited (after Start).

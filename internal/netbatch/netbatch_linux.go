@@ -288,6 +288,7 @@ func (c *mmsgConn) send(n int, segs []int) (int, error) {
 	}
 	c.wn, c.wsent, c.woperr = n, 0, nil
 	err := c.rc.Write(c.writeFn)
+	clear(c.wiovs) // sent: do not pin the caller's buffers until the next batch
 	sent, operr := c.wsent, c.woperr
 	if segs != nil {
 		// sendmmsg counts entries; the caller counts datagrams.

@@ -96,3 +96,24 @@ func (b *Buf) Release() {
 // Cap returns the full capacity of the underlying storage, independent of how
 // B is currently sliced.
 func (b *Buf) Cap() int { return len(b.full) }
+
+// GetFrameBuf returns a pooled buffer whose B has length n and is preceded by
+// SessionIDSize bytes of headroom, so the engine can stamp a session ID in
+// front of a frame a stage built without copying it (see Prepend).
+func GetFrameBuf(n int) *Buf {
+	b := GetBuf(SessionIDSize + n)
+	b.B = b.B[SessionIDSize:]
+	return b
+}
+
+// Prepend extends B n bytes towards the front of the backing storage and
+// reports whether the headroom was there. B must be a re-slice of the storage
+// GetBuf handed out (as every stage's frame is).
+func (b *Buf) Prepend(n int) bool {
+	off := cap(b.full) - cap(b.B)
+	if off < n || len(b.B) == 0 || &b.full[off] != &b.B[0] {
+		return false
+	}
+	b.B = b.full[off-n : off+len(b.B)]
+	return true
+}

@@ -99,3 +99,24 @@ func TestReadFrameBufHeadroom(t *testing.T) {
 		t.Fatalf("decoded %v", got)
 	}
 }
+
+func TestPrependUsesFrameHeadroom(t *testing.T) {
+	b := GetFrameBuf(10)
+	defer b.Release()
+	copy(b.B, "0123456789")
+	if len(b.B) != 10 || !b.Prepend(SessionIDSize) || len(b.B) != SessionIDSize+10 || string(b.B[SessionIDSize:]) != "0123456789" {
+		t.Fatalf("Prepend on a frame buffer: %q", b.B)
+	}
+	if b.Prepend(1) {
+		t.Fatal("Prepend grew past the start of the storage")
+	}
+	d := GetBuf(8)
+	defer d.Release()
+	if d.Prepend(SessionIDSize) {
+		t.Fatal("Prepend found headroom in front of a fresh buffer")
+	}
+	d.B = d.B[SessionIDSize:] // a datagram whose session ID was stripped
+	if !d.Prepend(SessionIDSize) || len(d.B) != 8 {
+		t.Fatalf("Prepend after a stripped prefix: len %d", len(d.B))
+	}
+}

@@ -84,10 +84,10 @@ func ReduceBitDepth(f audio.Format, pcm []byte) ([]byte, audio.Format, error) {
 	return out, nf, nil
 }
 
-// NewDownsampleFilter returns a packet filter that downsamples every audio
+// NewDownsampleFilter returns a packet stage that downsamples every audio
 // payload by factor. It preserves packet boundaries so each output packet
 // still carries the same time interval of audio as its input.
-func NewDownsampleFilter(name string, f audio.Format, factor int) (filter.Filter, error) {
+func NewDownsampleFilter(name string, f audio.Format, factor int) (*filter.PacketStage, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
@@ -111,8 +111,8 @@ func NewDownsampleFilter(name string, f audio.Format, factor int) (filter.Filter
 	}, nil), nil
 }
 
-// NewMonoFilter returns a packet filter that mixes stereo payloads to mono.
-func NewMonoFilter(name string, f audio.Format) (filter.Filter, error) {
+// NewMonoFilter returns a packet stage that mixes stereo payloads to mono.
+func NewMonoFilter(name string, f audio.Format) (*filter.PacketStage, error) {
 	if err := f.Validate(); err != nil {
 		return nil, err
 	}
@@ -133,12 +133,12 @@ func NewMonoFilter(name string, f audio.Format) (filter.Filter, error) {
 	}, nil), nil
 }
 
-// NewThinningFilter returns a packet filter that forwards one data packet in
+// NewThinningFilter returns a packet stage that forwards one data packet in
 // every keepOneIn and drops the rest — the paper's media-thinning fidelity
 // reduction for receivers whose link (or battery) cannot carry the full
 // stream. Non-data packets (parity, control, feedback) always pass so repair
 // and signalling survive thinning. keepOneIn == 1 forwards everything.
-func NewThinningFilter(name string, keepOneIn int) (filter.Filter, error) {
+func NewThinningFilter(name string, keepOneIn int) (*filter.PacketStage, error) {
 	if keepOneIn <= 0 {
 		return nil, fmt.Errorf("transcode: invalid thinning factor %d", keepOneIn)
 	}
@@ -158,9 +158,9 @@ func NewThinningFilter(name string, keepOneIn int) (filter.Filter, error) {
 	}, nil), nil
 }
 
-// NewCompressFilter returns a packet filter that DEFLATE-compresses payloads.
+// NewCompressFilter returns a packet stage that DEFLATE-compresses payloads.
 // level follows compress/flate (1 fastest .. 9 best, -1 default).
-func NewCompressFilter(name string, level int) (filter.Filter, error) {
+func NewCompressFilter(name string, level int) (*filter.PacketStage, error) {
 	if name == "" {
 		name = "compress"
 	}
@@ -191,7 +191,7 @@ func NewCompressFilter(name string, level int) (filter.Filter, error) {
 }
 
 // NewDecompressFilter returns the inverse of NewCompressFilter.
-func NewDecompressFilter(name string) filter.Filter {
+func NewDecompressFilter(name string) *filter.PacketStage {
 	if name == "" {
 		name = "decompress"
 	}

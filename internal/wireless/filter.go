@@ -15,7 +15,7 @@ import (
 // lets a complete sender → proxy → wireless → receiver path be assembled as a
 // single filter chain for experiments.
 type LossFilter struct {
-	*filter.Base
+	*filter.PacketStage
 
 	mu      sync.Mutex
 	rng     *rand.Rand
@@ -40,7 +40,7 @@ func NewLossFilter(name string, model LossModel, cfg LinkConfig, realTime bool, 
 		rng:   rng,
 		model: model,
 	}
-	lf.Base = filter.NewPacketFunc(name, func(p *packet.Packet) ([]*packet.Packet, error) {
+	lf.PacketStage = filter.NewPacketFunc(name, func(p *packet.Packet) ([]*packet.Packet, error) {
 		if realTime {
 			time.Sleep(cfg.SerializationDelay(packet.HeaderSize+len(p.Payload)) + cfg.PropagationDelay)
 		}
